@@ -27,11 +27,12 @@ Robustness ladder, from least to most degraded:
    remaining shards run on the in-process serial path -- same entry
    point, same streams, same answer.
 
-The facade (:func:`estimate_winning_probability_distributed`) mirrors
+The facade (:func:`estimate_winning_probability_distributed`) keeps
+its per-run state in the same shard-run ledger as
 :func:`repro.simulation.parallel.estimate_winning_probability_sharded`
-feature for feature: checkpoints and resume, deterministic progress
-callbacks (contiguous-prefix, exactly once per shard), event-bus shard
-/fault events, exact metrics merging.  Only the transport differs.
+-- plan, checkpoint and resume, progress and ``shard``/``fault``
+events, the win-range check, metrics merging -- so this module holds
+only the lease transport.
 """
 
 from __future__ import annotations
@@ -41,10 +42,7 @@ import signal
 import time
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
@@ -66,26 +64,14 @@ from repro.model.system import DistributedSystem
 from repro.observability import Instrumentation, get_instrumentation
 from repro.observability.events import snapshot_from_payload
 from repro.observability.metrics import MetricsSnapshot
-from repro.observability.progress import ProgressCallback, ShardProgress
+from repro.observability.progress import ProgressCallback
 from repro.simulation.faulttolerance import (
-    CheckpointWriter,
     FaultToleranceConfig,
     InjectedCrashError,
     ShardFailure,
-    load_checkpoint,
-    run_fingerprint,
-    system_digest,
 )
-from repro.simulation.parallel import (
-    ShardOutcome,
-    ShardedEstimate,
-    _run_serial,
-    _ShardTask,
-    plan_shards,
-    shard_stream_name,
-)
+from repro.simulation.parallel import ShardedEstimate, _ShardRun
 from repro.simulation.rng import SeedSequenceFactory
-from repro.simulation.statistics import BinomialSummary
 
 __all__ = [
     "DistributedConfig",
@@ -166,38 +152,14 @@ class _Coordinator:
     def __init__(
         self,
         config: DistributedConfig,
-        tasks: List[_ShardTask],
-        plan: List[int],
-        names: List[str],
-        fingerprint: str,
-        root_seed: int,
-        base_stream: str,
-        batch_size: int,
-        collect: bool,
-        completed: Dict[int, Tuple],
-        attempts: Dict[int, int],
-        on_success: Callable[..., None],
-        on_failure: Callable[[ShardFailure], None],
+        run: _ShardRun,
         instr: Instrumentation,
     ):
         self.config = config
-        self.tasks = tasks
-        self.plan = plan
-        self.names = names
-        self.fingerprint = fingerprint
-        self.root_seed = root_seed
-        self.base_stream = base_stream
-        self.batch_size = batch_size
-        self.collect = collect
-        self.completed = completed
-        self.attempts = attempts
-        self.on_success = on_success
-        self.on_failure = on_failure
+        self.run = run
         self.instr = instr
 
-        self.pending: deque = deque(
-            i for i in range(len(plan)) if i not in completed
-        )
+        self.pending: deque = deque(run.pending())
         self.leases: Dict[int, _Lease] = {}
         self.local_only: set = set()
         self.interrupted: Optional[int] = None
@@ -218,8 +180,9 @@ class _Coordinator:
         self._last_activity = 0.0
         self.port = 0
         # the system payload is pickled once, not per connection
+        task = run.tasks[0]
         self._welcome_blob = encode_blob(
-            (tasks[0].system, tasks[0].inputs, tasks[0].fault_plan)
+            (task.system, task.inputs, task.fault_plan)
         )
 
     # -- lifecycle ----------------------------------------------------
@@ -233,8 +196,6 @@ class _Coordinator:
         self._started = time.monotonic()
         self._last_activity = self._started
         self._watchdog = asyncio.create_task(self._watch())
-        if self._all_done():  # fully resumed from a checkpoint
-            self.done.set()
 
     async def shutdown(self) -> None:
         """Stop granting, tell connected workers to drain, close up."""
@@ -263,17 +224,17 @@ class _Coordinator:
         self._last_activity = time.monotonic()
 
     def _all_done(self) -> bool:
-        return len(self.completed) == len(self.plan)
+        return len(self.run.completed) == len(self.run.plan)
 
     def _next_grantable(self) -> Optional[int]:
         """Pop the next shard worth granting, retiring over-assigned
         shards to the local-salvage set as they surface."""
         while self.pending:
             shard = self.pending.popleft()
-            if shard in self.completed:
+            if shard in self.run.completed:
                 continue
             if (
-                self.attempts[shard]
+                self.run.attempts[shard]
                 >= self.config.max_assignments_per_shard
             ):
                 self.local_only.add(shard)
@@ -298,10 +259,10 @@ class _Coordinator:
                     continue
                 del self.leases[shard]
                 self.stats["lease_expiries"] += 1
-                self.on_failure(
+                self.run.fail(
                     ShardFailure(
                         index=shard,
-                        stream=self.names[shard],
+                        stream=self.run.names[shard],
                         attempt=lease.attempt,
                         kind="lease",
                         message=(
@@ -395,11 +356,11 @@ class _Coordinator:
                 {
                     "type": "welcome",
                     "protocol": PROTOCOL_VERSION,
-                    "fingerprint": self.fingerprint,
-                    "root_seed": self.root_seed,
-                    "base_stream": self.base_stream,
-                    "batch_size": self.batch_size,
-                    "collect": self.collect,
+                    "fingerprint": self.run.fingerprint,
+                    "root_seed": self.run.root_seed,
+                    "base_stream": self.run.stream,
+                    "batch_size": self.run.tasks[0].batch_size,
+                    "collect": self.run.collect,
                     "payload": self._welcome_blob,
                 },
             )
@@ -443,10 +404,10 @@ class _Coordinator:
                 lease = self.leases.get(shard)
                 if lease is not None and lease.worker_id == worker_id:
                     del self.leases[shard]
-                    self.on_failure(
+                    self.run.fail(
                         ShardFailure(
                             index=shard,
-                            stream=self.names[shard],
+                            stream=self.run.names[shard],
                             attempt=lease.attempt,
                             kind="disconnect",
                             message=(
@@ -481,8 +442,8 @@ class _Coordinator:
                     },
                 )
             return
-        attempt = self.attempts[shard]
-        self.attempts[shard] = attempt + 1
+        attempt = self.run.attempts[shard]
+        self.run.attempts[shard] = attempt + 1
         self.leases[shard] = _Lease(
             worker_id=worker_id,
             attempt=attempt,
@@ -502,8 +463,8 @@ class _Coordinator:
             {
                 "type": "lease",
                 "shard": shard,
-                "stream": self.names[shard],
-                "trials": self.plan[shard],
+                "stream": self.run.names[shard],
+                "trials": self.run.plan[shard],
                 "attempt": attempt,
                 "lease_seconds": self.config.lease_seconds,
             },
@@ -520,14 +481,15 @@ class _Coordinator:
         except (KeyError, TypeError, ValueError):
             self.stats["rejected_summaries"] += 1
             return
-        if not 0 <= shard < len(self.plan):
+        run = self.run
+        if not 0 <= shard < len(run.plan):
             self.stats["rejected_summaries"] += 1
             return
         granted.discard(shard)
         lease = self.leases.get(shard)
         if lease is not None and lease.worker_id == worker_id:
             del self.leases[shard]
-        if shard in self.completed:
+        if shard in run.completed:
             # duplicate or raced reassignment: the stream already
             # determined the value, so the copy carries no information
             self.stats["duplicate_summaries"] += 1
@@ -539,29 +501,6 @@ class _Coordinator:
                 worker=worker_id,
             )
             return
-        reason = None
-        if frame.get("fingerprint") != self.fingerprint:
-            reason = "run fingerprint mismatch"
-        elif not isinstance(wins, int) or not (
-            0 <= wins <= self.plan[shard]
-        ):
-            reason = (
-                f"wins={wins!r} outside [0, {self.plan[shard]}]"
-            )
-        if reason is not None:
-            self.stats["rejected_summaries"] += 1
-            self.on_failure(
-                ShardFailure(
-                    index=shard,
-                    stream=self.names[shard],
-                    attempt=attempt,
-                    kind="rejected",
-                    message=f"summary from {worker_id} rejected: {reason}",
-                )
-            )
-            self.pending.append(shard)
-            return
-        elapsed = frame.get("elapsed_seconds")
         snapshot: Optional[MetricsSnapshot] = None
         payload = frame.get("metrics")
         if payload is not None:
@@ -569,12 +508,28 @@ class _Coordinator:
                 snapshot = snapshot_from_payload(payload)
             except (KeyError, TypeError, ValueError):
                 snapshot = None  # metrics are observational: drop, keep wins
-        self.on_success(
-            shard,
-            (wins, elapsed, snapshot),
-            attempt,
-            worker=worker_id,
-        )
+        if frame.get("fingerprint") != run.fingerprint:
+            error: Any = "run fingerprint mismatch"
+        else:
+            error = run.accept(
+                shard,
+                (wins, frame.get("elapsed_seconds"), snapshot),
+                attempt,
+                worker=worker_id,
+            )
+        if error is not None:
+            self.stats["rejected_summaries"] += 1
+            run.fail(
+                ShardFailure(
+                    index=shard,
+                    stream=run.names[shard],
+                    attempt=attempt,
+                    kind="rejected",
+                    message=f"summary from {worker_id} rejected: {error}",
+                )
+            )
+            self.pending.append(shard)
+            return
         if self._all_done():
             self._finish()
 
@@ -689,7 +644,8 @@ def estimate_winning_probability_distributed(
     *local_workers* spawns that many in-process worker tasks on the
     coordinator's own event loop (the test and smoke-mode transport);
     *on_ready* is called with the bound port once the server accepts
-    connections (used to spawn worker subprocesses and by tests).
+    connections (used to spawn worker subprocesses and by tests); a
+    run fully resumed from its checkpoint never starts the server.
     *config* tunes lease duration and the degradation ladder;
     *fault_tolerance* carries the retry policy, chaos plan and
     checkpoint/resume settings shared with the local executors.
@@ -706,173 +662,36 @@ def estimate_winning_probability_distributed(
     whose ``workers_used`` is the peak number of simultaneously
     connected remote workers (1 when the run degraded fully local).
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if local_workers < 0:
         raise ValueError(
             f"local_workers must be >= 0, got {local_workers}"
         )
     net_config = DistributedConfig() if config is None else config
-    ft = (
-        FaultToleranceConfig()
-        if fault_tolerance is None
-        else fault_tolerance
+    run = _ShardRun(
+        system,
+        trials,
+        factory,
+        stream,
+        shards,
+        inputs,
+        batch_size,
+        z_score,
+        instrumentation,
+        progress,
+        fault_tolerance,
     )
-    policy = ft.retry
-    instr = (
-        get_instrumentation() if instrumentation is None else instrumentation
-    )
-    plan = plan_shards(trials, shards)
-    root_seed = factory.root_seed
-    if root_seed is None:
-        root_seed = int(np.random.SeedSequence().entropy)
-    names = [shard_stream_name(stream, i) for i in range(len(plan))]
-    for name in names:
-        factory.record_issue(name)
-
-    collect = instr.enabled
-    tasks = [
-        _ShardTask(
-            system=system,
-            trials=shard_trials,
-            base_stream=stream,
-            index=i,
-            stream=name,
-            root_seed=root_seed,
-            inputs=inputs,
-            batch_size=batch_size,
-            collect=collect,
-            fault_plan=ft.fault_plan,
-        )
-        for i, (shard_trials, name) in enumerate(zip(plan, names))
-    ]
-
-    # per-shard state, identical in shape to the pooled executor's:
-    # (wins, elapsed, snapshot, attempt, resumed, worker)
-    completed: Dict[int, Tuple] = {}
-    attempts: Dict[int, int] = {i: 0 for i in range(len(plan))}
-    failures: List[ShardFailure] = []
-    stats = {"retries": 0, "timeouts": 0, "pool_rebuilds": 0}
-
-    fingerprint = run_fingerprint(
-        root_seed, stream, plan, system_digest(system, inputs), batch_size
-    )
-    writer: Optional[CheckpointWriter] = None
-    resumed = 0
-    if ft.checkpoint_path is not None:
-        path = Path(ft.checkpoint_path)
-        if ft.resume and path.exists() and path.stat().st_size > 0:
-            checkpoint = load_checkpoint(path, root_seed)
-            for index, record in checkpoint.outcomes(fingerprint).items():
-                if 0 <= index < len(plan) and record.trials == plan[index]:
-                    completed[index] = (
-                        record.wins,
-                        record.elapsed_seconds,
-                        None,
-                        record.attempt,
-                        True,
-                        None,
-                    )
-            resumed = len(completed)
-        writer = CheckpointWriter(path, root_seed)
-
-    fired = 0
-
-    def flush_progress() -> None:
-        # the contiguous completed prefix, exactly once per shard, in
-        # index order -- deterministic no matter which worker finished
-        # which shard when
-        nonlocal fired
-        while fired < len(plan) and fired in completed:
-            wins, elapsed, _, attempt, was_resumed, worker = completed[
-                fired
-            ]
-            report = ShardProgress(
-                index=fired,
-                trials=plan[fired],
-                wins=wins,
-                elapsed_seconds=elapsed,
-                completed_shards=fired + 1,
-                total_shards=len(plan),
-                attempt=attempt,
-                recovered=was_resumed or attempt > 0,
-            )
-            if progress is not None:
-                progress(report)
-            event: Dict[str, Any] = dict(
-                stream=stream,
-                index=fired,
-                trials=report.trials,
-                wins=report.wins,
-                elapsed_ns=(
-                    None if elapsed is None else int(round(elapsed * 1e9))
-                ),
-                attempt=attempt,
-                recovered=report.recovered,
-                completed=report.completed_shards,
-                total=report.total_shards,
-            )
-            if worker is not None:
-                event["worker"] = worker
-            instr.emit("shard", **event)
-            fired += 1
-
-    def on_success(
-        index: int, result: Tuple, attempt: int, worker: Optional[str] = None
-    ) -> None:
-        wins, elapsed, snapshot = result
-        completed[index] = (wins, elapsed, snapshot, attempt, False, worker)
-        if writer is not None:
-            writer.append(
-                fingerprint,
-                index,
-                names[index],
-                plan[index],
-                wins,
-                elapsed,
-                attempt,
-            )
-        flush_progress()
-
-    def on_failure(failure: ShardFailure) -> None:
-        failures.append(failure)
-        instr.emit(
-            "fault",
-            kind=failure.kind,
-            index=failure.index,
-            stream=failure.stream,
-            attempt=failure.attempt,
-            message=failure.message,
-        )
-
-    coordinator = _Coordinator(
-        config=net_config,
-        tasks=tasks,
-        plan=plan,
-        names=names,
-        fingerprint=fingerprint,
-        root_seed=root_seed,
-        base_stream=stream,
-        batch_size=batch_size,
-        collect=collect,
-        completed=completed,
-        attempts=attempts,
-        on_success=on_success,
-        on_failure=on_failure,
-        instr=instr,
-    )
-
     salvaged = 0
-    try:
-        with instr.span(
-            "distributed.estimate",
-            stream=stream,
-            trials=trials,
-            shards=len(plan),
-            local_workers=local_workers,
-        ):
-            start = time.perf_counter()
-            flush_progress()  # resumed prefix, if any
+    with run, run.instr.span(
+        "distributed.estimate",
+        stream=stream,
+        trials=trials,
+        shards=len(run.plan),
+        local_workers=local_workers,
+    ):
+        coordinator = _Coordinator(net_config, run, run.instr)
+        start = time.perf_counter()
+        run.flush_progress()  # resumed prefix, if any
+        if run.pending():  # a fully resumed run has nothing to lease
             asyncio.run(
                 _serve_phase(
                     coordinator,
@@ -882,86 +701,39 @@ def estimate_winning_probability_distributed(
                     handle_signals=handle_signals,
                 )
             )
-            if coordinator.interrupted is not None:
-                # graceful interrupt: workers drained, leases returned;
-                # skip local salvage and surface the signal.  The
-                # finally below closes the checkpoint writer, so every
-                # completed shard is durable for a --resume re-run.
-                raise RunInterruptedError(
-                    coordinator.interrupted, len(completed), len(plan)
-                )
-            missing = [
-                i for i in range(len(plan)) if i not in completed
-            ]
-            if missing:
-                # final rung of the ladder: run whatever the fleet did
-                # not deliver on the in-process serial path
-                salvaged = len(missing)
-                _run_serial(
-                    tasks,
-                    missing,
-                    attempts,
-                    policy,
-                    on_success,
-                    on_failure,
-                    stats,
-                )
-            wall_seconds = time.perf_counter() - start
-    finally:
-        if writer is not None:
-            writer.close()
+        if coordinator.interrupted is not None:
+            # graceful interrupt: workers drained, leases returned;
+            # skip local salvage and surface the signal.  Leaving the
+            # ledger closes the checkpoint, so every completed shard is
+            # durable for a --resume re-run.
+            raise RunInterruptedError(
+                coordinator.interrupted, len(run.completed), len(run.plan)
+            )
+        missing = run.pending()
+        if missing:
+            # final rung of the ladder: run whatever the fleet did
+            # not deliver on the in-process serial path
+            salvaged = len(missing)
+            run.run_serial(missing)
+        wall_seconds = time.perf_counter() - start
 
-    workers_used = max(1, coordinator.peak_workers)
-    outcomes = tuple(
-        ShardOutcome(
-            index=i,
-            stream=name,
-            trials=shard_trials,
-            wins=completed[i][0],
-            elapsed_seconds=completed[i][1],
-            attempt=completed[i][3],
+    if run.collect:
+        run.instr.set_gauge(
+            "distributed.workers_peak", coordinator.peak_workers
         )
-        for i, (shard_trials, name) in enumerate(zip(plan, names))
-    )
-    if collect:
-        for record in completed.values():
-            if record[2] is not None:
-                instr.metrics.merge(record[2])
-        instr.increment("distributed.calls")
-        instr.set_gauge("distributed.workers_peak", coordinator.peak_workers)
-        instr.observe("distributed.wall_seconds", wall_seconds)
-        instr.throughput.record(trials, wall_seconds)
-        for counter, value in (
-            ("distributed.leases_granted", coordinator.stats["leases_granted"]),
-            ("distributed.lease_expiries", coordinator.stats["lease_expiries"]),
-            (
-                "distributed.duplicate_summaries",
-                coordinator.stats["duplicate_summaries"],
-            ),
-            (
-                "distributed.rejected_summaries",
-                coordinator.stats["rejected_summaries"],
-            ),
-            (
-                "distributed.workers_connected",
-                coordinator.stats["workers_connected"],
+        run.instr.observe("distributed.wall_seconds", wall_seconds)
+    return run.result(
+        max(1, coordinator.peak_workers),
+        wall_seconds,
+        salvaged,
+        [
+            ("distributed.calls", 1),
+            *(
+                (f"distributed.{name}", value)
+                for name, value in coordinator.stats.items()
             ),
             ("distributed.shards_salvaged", salvaged),
-            ("distributed.shards_resumed", resumed),
-            ("distributed.serial_retries", stats["retries"]),
-        ):
-            if value:
-                instr.increment(counter, value)
-    summary = BinomialSummary(
-        successes=sum(record[0] for record in completed.values()),
-        trials=trials,
-        z_score=z_score,
-    )
-    return ShardedEstimate(
-        summary=summary,
-        shard_outcomes=outcomes,
-        workers_used=workers_used,
-        failures=tuple(failures),
-        resumed_shards=resumed,
-        salvaged_shards=salvaged,
+            ("distributed.shards_resumed", run.resumed),
+            ("distributed.serial_retries", run.retries),
+        ],
     )

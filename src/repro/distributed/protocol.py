@@ -1,12 +1,13 @@
 """The coordinator/worker wire protocol: sealed JSON frames over TCP.
 
 One frame is a 4-byte big-endian length prefix followed by a UTF-8
-JSON object carrying its own checksum -- the same seal (first 16 hex
-chars of the SHA-256 of the canonical payload) the checkpoint and
-event-log tiers use, so a flipped bit anywhere in a frame body is
-detected before the payload is trusted.  JSON keeps every frame
-inspectable with ``nc`` and a pair of eyes; the length prefix makes
-framing unambiguous without in-band delimiters.
+JSON object carrying its own checksum -- the sealed-line codec of
+:mod:`repro.fsutil` (first 16 hex chars of the SHA-256 of the
+canonical payload) that the checkpoint and event-log tiers use, so a
+flipped bit anywhere in a frame body is detected before the payload
+is trusted.  JSON keeps every frame inspectable with ``nc`` and a pair
+of eyes; the length prefix makes framing unambiguous without in-band
+delimiters.
 
 Message vocabulary (the ``type`` field):
 
@@ -46,11 +47,11 @@ from __future__ import annotations
 import asyncio
 import base64
 import hashlib
-import json
 import pickle
 from typing import Any, Dict, Optional
 
 from repro.errors import DistributedError
+from repro.fsutil import _open_line, _sealed_line
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -110,42 +111,23 @@ class PayloadDigestError(DistributedError):
     """The pickled system payload's digest did not verify."""
 
 
-def _checksum(payload: Dict[str, Any]) -> str:
-    """First 16 hex chars of the SHA-256 of the canonical JSON form
-    (the seal shared with the checkpoint and event-log formats)."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
 def seal_payload(payload: Dict[str, Any]) -> bytes:
-    """Serialise *payload* with its own checksum embedded."""
-    sealed = {**payload, "checksum": _checksum(payload)}
-    return json.dumps(
-        sealed, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    """Serialise *payload* with its own checksum embedded (a sealed
+    line without its newline: the length prefix delimits frames)."""
+    return _sealed_line(payload)[:-1].encode("utf-8")
 
 
 def open_payload(body: bytes) -> Dict[str, Any]:
     """Parse and verify one sealed frame body.
 
-    Raises :class:`FrameError` on bad JSON, a non-object payload, a
-    missing checksum, or a checksum mismatch -- a corrupt frame is
-    never partially trusted.
+    Raises :class:`FrameError` on undecodable bytes, bad JSON, a
+    non-object payload, a missing checksum, or a checksum mismatch --
+    a corrupt frame is never partially trusted.
     """
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
+    payload = _open_line(body)
+    if payload is None:
         raise FrameError(
-            f"frame body must be a JSON object, got {type(payload).__name__}"
-        )
-    stated = payload.pop("checksum", None)
-    if stated is None:
-        raise FrameError("frame body carries no checksum")
-    if _checksum(payload) != stated:
-        raise FrameError(
-            f"frame checksum mismatch (stated {stated!r})"
+            f"frame body of {len(body)} bytes is not a sealed JSON object"
         )
     return payload
 

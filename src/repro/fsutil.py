@@ -1,4 +1,5 @@
-"""Filesystem durability helpers shared by every on-disk tier.
+"""Filesystem durability and record-sealing helpers shared by every
+on-disk tier.
 
 The cache, results store, run store and checkpoint writer all follow
 the same discipline for atomic finalisation: write a temp file, flush,
@@ -13,13 +14,23 @@ Durability is best-effort by design: a filesystem that cannot fsync a
 directory (some network mounts, some platforms) degrades to the old
 behaviour -- possible loss of the newest file on power failure -- and
 never turns a successful write into an error.
+
+The checkpoint file, the event log and the distributed wire protocol
+all store JSON objects *sealed* with their own checksum: the first 16
+hex chars of the SHA-256 of the canonical JSON form.
+:func:`_sealed_line` writes one such record and :func:`_open_line`
+reads it back, returning ``None`` for anything torn, flipped or
+undecodable so every reader can skip a corrupt record instead of
+failing on it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from pathlib import Path
-from typing import Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 __all__ = ["fsync_directory"]
 
@@ -44,3 +55,33 @@ def fsync_directory(path: Union[str, Path]) -> bool:
         return False
     finally:
         os.close(descriptor)
+
+
+def _canonical(payload: Mapping[str, Any]) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _checksum(payload: Mapping[str, Any]) -> str:
+    """First 16 hex chars of the SHA-256 of the canonical JSON form."""
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()[:16]
+
+
+def _sealed_line(payload: Mapping[str, Any]) -> str:
+    """One JSONL line: the payload plus its own checksum."""
+    return _canonical({**payload, "checksum": _checksum(payload)}) + "\n"
+
+
+def _open_line(line: Union[str, bytes]) -> Optional[Dict[str, Any]]:
+    """Parse and verify one sealed line; ``None`` when it is corrupt
+    (undecodable bytes, bad JSON, not an object, missing checksum, or
+    checksum mismatch)."""
+    try:
+        record = json.loads(line)
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
+        return None
+    if not isinstance(record, dict):
+        return None
+    stated = record.pop("checksum", None)
+    if stated is None or _checksum(record) != stated:
+        return None
+    return record

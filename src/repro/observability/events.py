@@ -48,8 +48,6 @@ context's monotonic origin.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import threading
 from dataclasses import dataclass
@@ -66,6 +64,7 @@ from typing import (
     Union,
 )
 
+from repro.fsutil import _open_line, _sealed_line
 from repro.observability.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
@@ -90,38 +89,6 @@ EVENT_LOG_SCHEMA_VERSION = 1
 #: An event consumer: called synchronously with each emitted event
 #: dict.  Subscribers must not mutate the event.
 EventSubscriber = Callable[[Dict[str, Any]], None]
-
-
-def _checksum(payload: Mapping[str, Any]) -> str:
-    """First 16 hex chars of the SHA-256 of the canonical JSON form."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def _sealed_line(payload: Dict[str, Any]) -> str:
-    """One JSONL line: the payload plus its own checksum."""
-    return (
-        json.dumps(
-            {**payload, "checksum": _checksum(payload)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n"
-    )
-
-
-def _open_line(text: str) -> Optional[Dict[str, Any]]:
-    """Parse and verify one event line; ``None`` when corrupt."""
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict):
-        return None
-    stated = record.pop("checksum", None)
-    if stated is None or _checksum(record) != stated:
-        return None
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +353,15 @@ class EventLogRead:
 def read_events(path: Union[str, Path]) -> EventLogRead:
     """Read an event log, keeping every intact line.
 
-    Corrupt lines -- torn writes, flipped bytes, truncation -- fail
-    their checksum and are skipped (counted in ``corrupt_lines``),
-    never fatal: telemetry must degrade, not block.  A missing file
-    raises ``OSError`` like any other read.
+    Corrupt lines -- torn writes, flipped bytes, truncation -- fail to
+    decode or fail their checksum and are skipped (counted in
+    ``corrupt_lines``), never fatal: telemetry must degrade, not
+    block.  A missing file raises ``OSError`` like any other read.
     """
     target = Path(path)
     events: List[Dict[str, Any]] = []
     corrupt = 0
-    with target.open() as handle:
+    with target.open("rb") as handle:
         for line in handle:
             if not line.strip():
                 continue

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.fsutil import fsync_directory
+from repro.fsutil import _open_line, _sealed_line, fsync_directory
 from repro.observability.runmeta import run_header
 
 __all__ = [
@@ -449,41 +449,6 @@ def run_fingerprint(
 # ---------------------------------------------------------------------------
 
 
-def _checksum(payload: Mapping[str, Any]) -> str:
-    """First 16 hex chars of the SHA-256 of the canonical JSON form."""
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def _sealed_line(payload: Dict[str, Any]) -> str:
-    """One JSONL line: the payload plus its own checksum."""
-    return (
-        json.dumps(
-            {**payload, "checksum": _checksum(payload)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n"
-    )
-
-
-def _open_line(text: str) -> Optional[Dict[str, Any]]:
-    """Parse and verify one checkpoint line; ``None`` when the line is
-    corrupt (bad JSON, missing checksum, or checksum mismatch)."""
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict):
-        return None
-    stated = record.pop("checksum", None)
-    if stated is None or _checksum(record) != stated:
-        return None
-    return record
-
-
 @dataclass(frozen=True)
 class CheckpointRecord:
     """One salvaged shard outcome as read back from a checkpoint."""
@@ -596,7 +561,7 @@ class CheckpointWriter:
 
 def _read_header(path: Path, root_seed: int) -> None:
     """Validate an existing checkpoint's header against *root_seed*."""
-    with path.open() as handle:
+    with path.open("rb") as handle:
         first = handle.readline()
     header = _open_line(first)
     if (
@@ -640,16 +605,16 @@ def load_checkpoint(
 ) -> Checkpoint:
     """Read a checkpoint, keeping every intact record.
 
-    Corrupt lines -- torn writes, flipped bytes, truncation -- fail
-    their checksum and are *skipped* (counted in ``corrupt_lines``),
-    never fatal: the executor simply re-runs those shards.  A missing
-    file or unreadable header raises :class:`CheckpointError`; a
-    header written for a different root seed raises
-    :class:`CheckpointFingerprintError`.
+    Corrupt lines -- torn writes, flipped bytes, truncation -- fail to
+    decode or fail their checksum and are *skipped* (counted in
+    ``corrupt_lines``), never fatal: the executor simply re-runs those
+    shards.  A missing file or unreadable header raises
+    :class:`CheckpointError`; a header written for a different root
+    seed raises :class:`CheckpointFingerprintError`.
     """
     target = Path(path)
     try:
-        with target.open() as handle:
+        with target.open("rb") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise CheckpointError(

@@ -31,6 +31,11 @@ checkpoint resume -- produces the bit-identical summary; only the
 wall-clock (and the failure telemetry) differs.  Completed shards are
 never discarded: when the pool cannot be (re)built, only the
 *missing* shards run on the in-process serial path.
+
+The per-run state and its accounting live in one private ledger,
+``_ShardRun``, which the TCP coordinator of :mod:`repro.distributed`
+uses too; the process-pool loop here and the coordinator's lease
+server are the two transport loops that feed it.
 """
 
 from __future__ import annotations
@@ -45,9 +50,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Callable,
+    Any,
     Dict,
+    Iterable,
     List,
+    NamedTuple,
     Optional,
     Tuple,
 )
@@ -64,7 +71,6 @@ from repro.simulation.faulttolerance import (
     FaultPlan,
     FaultToleranceConfig,
     InjectedCrashError,
-    RetryPolicy,
     ShardFailure,
     ShardRetriesExhaustedError,
     ShardTimeoutError,
@@ -208,7 +214,16 @@ class ShardedEstimate:
     The fault-tolerance fields (``failures``, ``resumed_shards``,
     ``salvaged_shards``) describe *how* the run survived, never *what*
     it computed, so they are excluded from equality for the same
-    reason per-shard timings are."""
+    reason per-shard timings are.
+
+    ``salvaged_shards`` means different things per transport.  From
+    :func:`estimate_winning_probability_sharded` it counts completed
+    shards *kept* across a failure: shards that ran once, cleanly, in
+    a run that saw at least one failure (0 for a failure-free run).
+    From :func:`repro.distributed.coordinator.estimate_winning_probability_distributed`
+    it counts shards the fleet did *not* deliver, which then ran on
+    the in-process serial path (0 when remote workers did everything).
+    """
 
     summary: BinomialSummary
     shard_outcomes: Tuple[ShardOutcome, ...]
@@ -334,78 +349,319 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
-_Result = Tuple[int, float, Optional[MetricsSnapshot]]
+_Result = Tuple[int, Optional[float], Optional[MetricsSnapshot]]
 
 
-def _validate_result(result: _Result, task: _ShardTask) -> None:
-    """Reject impossible shard results before they reach the sum."""
-    wins = result[0]
-    if not isinstance(wins, int) or not 0 <= wins <= task.trials:
-        raise CorruptShardResultError(
-            f"shard {task.index} returned wins={wins!r}, outside "
-            f"[0, {task.trials}]"
+class _Done(NamedTuple):
+    """One completed shard as the ledger holds it."""
+
+    wins: int
+    elapsed: Optional[float]
+    snapshot: Optional[MetricsSnapshot]
+    attempt: int
+    resumed: bool
+    worker: Optional[str] = None
+
+
+class _ShardRun:
+    """The per-run state and accounting of one sharded estimate.
+
+    Both facades -- :func:`estimate_winning_probability_sharded` (serial
+    or process pool) and
+    :func:`repro.distributed.coordinator.estimate_winning_probability_distributed`
+    (TCP leases) -- build one from their arguments; only the transport
+    loop that feeds it differs.  The ledger owns the shard plan, stream
+    names and tasks, the run fingerprint, checkpoint resume and append,
+    the win-range check every result passes, the contiguous-prefix
+    progress callbacks with their ``shard`` events, ``fault`` events,
+    retry charging, and the final :class:`ShardedEstimate`.  As a
+    context manager it closes the checkpoint on exit, so every
+    completed shard stays durable for a resume whatever went wrong.
+    """
+
+    def __init__(
+        self,
+        system: DistributedSystem,
+        trials: int,
+        factory: SeedSequenceFactory,
+        stream: str,
+        shards: Optional[int],
+        inputs: Optional["InputDistribution"],
+        batch_size: int,
+        z_score: float,
+        instrumentation: Optional[Instrumentation],
+        progress: Optional[ProgressCallback],
+        fault_tolerance: Optional[FaultToleranceConfig],
+    ):
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        config = (
+            FaultToleranceConfig()
+            if fault_tolerance is None
+            else fault_tolerance
+        )
+        self.policy = config.retry
+        self.instr = (
+            get_instrumentation()
+            if instrumentation is None
+            else instrumentation
+        )
+        self.collect = self.instr.enabled
+        self.trials = trials
+        self.stream = stream
+        self.z_score = z_score
+        self.progress = progress
+        self.plan = plan_shards(trials, shards)
+        root_seed = factory.root_seed
+        if root_seed is None:
+            root_seed = int(np.random.SeedSequence().entropy)
+        self.root_seed = root_seed
+        self.names = [
+            shard_stream_name(stream, i) for i in range(len(self.plan))
+        ]
+        for name in self.names:
+            factory.record_issue(name)
+        self.tasks = [
+            _ShardTask(
+                system=system,
+                trials=shard_trials,
+                base_stream=stream,
+                index=i,
+                stream=name,
+                root_seed=root_seed,
+                inputs=inputs,
+                batch_size=batch_size,
+                collect=self.collect,
+                fault_plan=config.fault_plan,
+            )
+            for i, (shard_trials, name) in enumerate(
+                zip(self.plan, self.names)
+            )
+        ]
+        self.fingerprint = run_fingerprint(
+            root_seed,
+            stream,
+            self.plan,
+            system_digest(system, inputs),
+            batch_size,
+        )
+        self.completed: Dict[int, _Done] = {}
+        self.attempts: Dict[int, int] = {i: 0 for i in range(len(self.plan))}
+        self.failures: List[ShardFailure] = []
+        self.retries = 0
+        self._fired = 0
+        self.writer: Optional[CheckpointWriter] = None
+        if config.checkpoint_path is not None:
+            path = Path(config.checkpoint_path)
+            if config.resume and path.exists() and path.stat().st_size > 0:
+                checkpoint = load_checkpoint(path, root_seed)
+                for index, record in checkpoint.outcomes(
+                    self.fingerprint
+                ).items():
+                    if (
+                        0 <= index < len(self.plan)
+                        and record.trials == self.plan[index]
+                    ):
+                        self.completed[index] = _Done(
+                            record.wins,
+                            record.elapsed_seconds,
+                            None,
+                            record.attempt,
+                            True,
+                        )
+            self.writer = CheckpointWriter(path, root_seed)
+        self.resumed = len(self.completed)
+
+    def __enter__(self) -> "_ShardRun":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.writer is not None:
+            self.writer.close()
+
+    def pending(self) -> List[int]:
+        """The shards not yet completed, in index order."""
+        return [i for i in range(len(self.plan)) if i not in self.completed]
+
+    def flush_progress(self) -> None:
+        """Report the contiguous completed prefix: exactly once per
+        shard, in index order, whatever order the transport finished
+        the shards in."""
+        while self._fired < len(self.plan) and self._fired in self.completed:
+            index = self._fired
+            done = self.completed[index]
+            report = ShardProgress(
+                index=index,
+                trials=self.plan[index],
+                wins=done.wins,
+                elapsed_seconds=done.elapsed,
+                completed_shards=index + 1,
+                total_shards=len(self.plan),
+                attempt=done.attempt,
+                recovered=done.resumed or done.attempt > 0,
+            )
+            if self.progress is not None:
+                self.progress(report)
+            event: Dict[str, Any] = dict(
+                stream=self.stream,
+                index=index,
+                trials=report.trials,
+                wins=report.wins,
+                elapsed_ns=(
+                    None
+                    if done.elapsed is None
+                    else int(round(done.elapsed * 1e9))
+                ),
+                attempt=done.attempt,
+                recovered=report.recovered,
+                completed=report.completed_shards,
+                total=report.total_shards,
+            )
+            if done.worker is not None:
+                event["worker"] = done.worker
+            self.instr.emit("shard", **event)
+            self._fired += 1
+
+    def accept(
+        self,
+        index: int,
+        result: _Result,
+        attempt: int,
+        worker: Optional[str] = None,
+    ) -> Optional[CorruptShardResultError]:
+        """Record one shard result, or return why it is impossible.
+
+        This is the one win-range check: a win count outside
+        ``[0, trials]`` is returned as a
+        :class:`CorruptShardResultError` and recorded nowhere (the
+        transport decides between a charged retry and a requeue).  A
+        valid result is checkpointed and reported."""
+        wins, elapsed, snapshot = result
+        trials = self.plan[index]
+        if not isinstance(wins, int) or not 0 <= wins <= trials:
+            return CorruptShardResultError(
+                f"shard {index} returned wins={wins!r}, outside "
+                f"[0, {trials}]"
+            )
+        self.completed[index] = _Done(
+            wins, elapsed, snapshot, attempt, False, worker
+        )
+        if self.writer is not None:
+            self.writer.append(
+                self.fingerprint,
+                index,
+                self.names[index],
+                trials,
+                wins,
+                elapsed,
+                attempt,
+            )
+        self.flush_progress()
+        return None
+
+    def fail(self, failure: ShardFailure) -> None:
+        """Log one failure and emit its ``fault`` event."""
+        self.failures.append(failure)
+        self.instr.emit(
+            "fault",
+            kind=failure.kind,
+            index=failure.index,
+            stream=failure.stream,
+            attempt=failure.attempt,
+            message=failure.message,
+        )
+
+    def charge_retry(
+        self, index: int, attempt: int, exc: BaseException
+    ) -> float:
+        """Record *exc* as the failure of *attempt* and charge a retry.
+
+        Returns the jittered backoff before the next attempt; raises
+        :class:`ShardRetriesExhaustedError` once the shard has used
+        its ``max_attempts`` executions."""
+        stream = self.names[index]
+        if isinstance(exc, ShardTimeoutError):
+            kind = "timeout"
+        elif isinstance(exc, CorruptShardResultError):
+            kind = "corrupt"
+        else:
+            kind = "error"
+        self.fail(ShardFailure(index, stream, attempt, kind, str(exc)))
+        used = self.attempts[index]
+        if used >= self.policy.max_attempts:
+            raise ShardRetriesExhaustedError(
+                index, stream, used, str(exc)
+            ) from exc
+        self.retries += 1
+        return self.policy.backoff_seconds(
+            used - 1, jitter_key=(stream, index, used)
+        )
+
+    def run_serial(self, pending: List[int]) -> None:
+        """Run *pending* shards in-process, in index order, with the
+        pool's retry accounting (timeouts excepted: an in-process
+        shard cannot be interrupted)."""
+        for index in sorted(pending):
+            while True:
+                attempt = self.attempts[index]
+                self.attempts[index] = attempt + 1
+                try:
+                    result = _run_shard(self.tasks[index], attempt)
+                except Exception as exc:
+                    error: Optional[Exception] = exc
+                else:
+                    error = self.accept(index, result, attempt)
+                if error is None:
+                    break
+                time.sleep(self.charge_retry(index, attempt, error))
+
+    def result(
+        self,
+        workers_used: int,
+        wall_seconds: float,
+        salvaged: int,
+        counters: Iterable[Tuple[str, int]],
+    ) -> ShardedEstimate:
+        """The estimate.  With collection on, first merge the per-shard
+        metrics, record throughput and add every nonzero counter."""
+        if self.collect:
+            for done in self.completed.values():
+                if done.snapshot is not None:
+                    self.instr.metrics.merge(done.snapshot)
+            self.instr.throughput.record(self.trials, wall_seconds)
+            for name, value in counters:
+                if value:
+                    self.instr.increment(name, value)
+        return ShardedEstimate(
+            summary=BinomialSummary(
+                successes=sum(done.wins for done in self.completed.values()),
+                trials=self.trials,
+                z_score=self.z_score,
+            ),
+            shard_outcomes=tuple(
+                ShardOutcome(
+                    index=i,
+                    stream=name,
+                    trials=shard_trials,
+                    wins=self.completed[i].wins,
+                    elapsed_seconds=self.completed[i].elapsed,
+                    attempt=self.completed[i].attempt,
+                )
+                for i, (shard_trials, name) in enumerate(
+                    zip(self.plan, self.names)
+                )
+            ),
+            workers_used=workers_used,
+            failures=tuple(self.failures),
+            resumed_shards=self.resumed,
+            salvaged_shards=salvaged,
         )
 
 
-def _run_serial(
-    tasks: List[_ShardTask],
-    pending: List[int],
-    attempts: Dict[int, int],
-    policy: RetryPolicy,
-    on_success: Callable[[int, _Result, int], None],
-    on_failure: Callable[[ShardFailure], None],
-    stats: Dict[str, int],
-) -> None:
-    """Run *pending* shards in-process, in index order, with the same
-    retry accounting as the pool path (timeouts excepted: an
-    in-process shard cannot be interrupted)."""
-    for index in sorted(pending):
-        task = tasks[index]
-        while True:
-            attempt = attempts[index]
-            attempts[index] = attempt + 1
-            try:
-                result = _run_shard(task, attempt)
-                _validate_result(result, task)
-            except Exception as exc:
-                kind = (
-                    "corrupt"
-                    if isinstance(exc, CorruptShardResultError)
-                    else "error"
-                )
-                on_failure(
-                    ShardFailure(
-                        index=index,
-                        stream=task.stream,
-                        attempt=attempt,
-                        kind=kind,
-                        message=str(exc),
-                    )
-                )
-                if attempts[index] >= policy.max_attempts:
-                    raise ShardRetriesExhaustedError(
-                        index, task.stream, attempts[index], str(exc)
-                    ) from exc
-                stats["retries"] += 1
-                time.sleep(
-                    policy.backoff_seconds(
-                        attempts[index] - 1,
-                        jitter_key=(task.stream, index, attempts[index]),
-                    )
-                )
-                continue
-            on_success(index, result, attempt)
-            break
-
-
 def _run_pool(
-    tasks: List[_ShardTask],
+    run: _ShardRun,
     pending: List[int],
-    attempts: Dict[int, int],
-    policy: RetryPolicy,
     workers_used: int,
-    on_success: Callable[[int, _Result, int], None],
-    on_failure: Callable[[ShardFailure], None],
     stats: Dict[str, int],
 ) -> None:
     """Run *pending* shards across a process pool, fault-tolerantly.
@@ -434,7 +690,8 @@ def _run_pool(
     ready = deque(sorted(pending))
     delayed: List[Tuple[float, int]] = []  # (not-before, index)
     inflight: Dict = {}  # future -> (index, attempt, deadline)
-    rebuilds_left = policy.max_retries + 1
+    rebuilds_left = run.policy.max_retries + 1
+    shard_timeout = run.policy.shard_timeout
 
     def new_pool() -> ProcessPoolExecutor:
         try:
@@ -456,28 +713,11 @@ def _run_pool(
     def reschedule_uncharged(index: int) -> None:
         # the shard never got to run through no fault of its own:
         # give the execution back and resubmit without backoff
-        attempts[index] -= 1
+        run.attempts[index] -= 1
         ready.append(index)
 
-    def schedule_retry(index: int, attempt: int, kind: str, exc) -> None:
-        on_failure(
-            ShardFailure(
-                index=index,
-                stream=tasks[index].stream,
-                attempt=attempt,
-                kind=kind,
-                message=str(exc),
-            )
-        )
-        if attempts[index] >= policy.max_attempts:
-            raise ShardRetriesExhaustedError(
-                index, tasks[index].stream, attempts[index], str(exc)
-            )
-        stats["retries"] += 1
-        not_before = time.monotonic() + policy.backoff_seconds(
-            attempts[index] - 1,
-            jitter_key=(tasks[index].stream, index, attempts[index]),
-        )
+    def schedule_retry(index: int, attempt: int, exc: Exception) -> None:
+        not_before = time.monotonic() + run.charge_retry(index, attempt, exc)
         delayed.append((not_before, index))
         delayed.sort()
 
@@ -496,9 +736,9 @@ def _run_pool(
             submit_failed = False
             while ready:
                 index = ready[0]
-                attempt = attempts[index]
+                attempt = run.attempts[index]
                 try:
-                    future = pool.submit(_run_shard, tasks[index], attempt)
+                    future = pool.submit(_run_shard, run.tasks[index], attempt)
                 except (RuntimeError, OSError):
                     # the pool broke between waits; if work is in
                     # flight the wait loop below will observe the
@@ -506,11 +746,9 @@ def _run_pool(
                     submit_failed = True
                     break
                 ready.popleft()
-                attempts[index] = attempt + 1
+                run.attempts[index] = attempt + 1
                 deadline = (
-                    now + policy.shard_timeout
-                    if policy.shard_timeout is not None
-                    else None
+                    now + shard_timeout if shard_timeout is not None else None
                 )
                 inflight[future] = (index, attempt, deadline)
             if submit_failed and not inflight:
@@ -544,28 +782,25 @@ def _run_pool(
                 index, attempt, _ = inflight.pop(future)
                 try:
                     result = future.result()
-                    _validate_result(result, tasks[index])
                 except BrokenProcessPool as exc:
                     broken = True
-                    on_failure(
+                    run.fail(
                         ShardFailure(
                             index=index,
-                            stream=tasks[index].stream,
+                            stream=run.names[index],
                             attempt=attempt,
                             kind="pool",
                             message=str(exc) or "process pool died",
                         )
                     )
                     reschedule_uncharged(index)
+                    continue
                 except Exception as exc:
-                    kind = (
-                        "corrupt"
-                        if isinstance(exc, CorruptShardResultError)
-                        else "error"
-                    )
-                    schedule_retry(index, attempt, kind, exc)
+                    error: Optional[Exception] = exc
                 else:
-                    on_success(index, result, attempt)
+                    error = run.accept(index, result, attempt)
+                if error is not None:
+                    schedule_retry(index, attempt, error)
             if broken:
                 for index, _, _ in inflight.values():
                     reschedule_uncharged(index)
@@ -581,16 +816,15 @@ def _run_pool(
             if expired:
                 # a running task cannot be cancelled: kill the pool,
                 # charge the timed-out shards, resubmit the innocents
-                stats["timeouts"] += len(expired)
+                stats["shard_timeouts"] += len(expired)
                 for future, (index, attempt, _) in list(inflight.items()):
                     if future in expired:
                         schedule_retry(
                             index,
                             attempt,
-                            "timeout",
                             ShardTimeoutError(
                                 f"shard {index} exceeded "
-                                f"{policy.shard_timeout}s wall-clock limit"
+                                f"{shard_timeout}s wall-clock limit"
                             ),
                         )
                     else:
@@ -662,238 +896,77 @@ def estimate_winning_probability_sharded(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    config = (
-        FaultToleranceConfig() if fault_tolerance is None else fault_tolerance
+    run = _ShardRun(
+        system,
+        trials,
+        factory,
+        stream,
+        shards,
+        inputs,
+        batch_size,
+        z_score,
+        instrumentation,
+        progress,
+        fault_tolerance,
     )
-    policy = config.retry
-    instr = (
-        get_instrumentation() if instrumentation is None else instrumentation
-    )
-    plan = plan_shards(trials, shards)
-    root_seed = factory.root_seed
-    if root_seed is None:
-        root_seed = int(np.random.SeedSequence().entropy)
-    names = [shard_stream_name(stream, i) for i in range(len(plan))]
-    for name in names:
-        factory.record_issue(name)
-
-    collect = instr.enabled
-    tasks = [
-        _ShardTask(
-            system=system,
-            trials=shard_trials,
-            base_stream=stream,
-            index=i,
-            stream=name,
-            root_seed=root_seed,
-            inputs=inputs,
-            batch_size=batch_size,
-            collect=collect,
-            fault_plan=config.fault_plan,
-        )
-        for i, (shard_trials, name) in enumerate(zip(plan, names))
-    ]
-
-    # per-shard state: result tuples, execution counts, failure log
-    completed: Dict[int, Tuple[int, float, Optional[MetricsSnapshot], int, bool]] = {}
-    attempts: Dict[int, int] = {i: 0 for i in range(len(plan))}
-    failures: List[ShardFailure] = []
-    stats = {"retries": 0, "timeouts": 0, "pool_rebuilds": 0}
-
-    fingerprint = run_fingerprint(
-        root_seed, stream, plan, system_digest(system, inputs), batch_size
-    )
-    writer: Optional[CheckpointWriter] = None
-    resumed = 0
-    if config.checkpoint_path is not None:
-        path = Path(config.checkpoint_path)
-        if config.resume and path.exists() and path.stat().st_size > 0:
-            checkpoint = load_checkpoint(path, root_seed)
-            for index, record in checkpoint.outcomes(fingerprint).items():
-                if 0 <= index < len(plan) and record.trials == plan[index]:
-                    completed[index] = (
-                        record.wins,
-                        record.elapsed_seconds,
-                        None,
-                        record.attempt,
-                        True,
-                    )
-            resumed = len(completed)
-        writer = CheckpointWriter(path, root_seed)
-
-    fired = 0
-
-    def flush_progress() -> None:
-        # fire the contiguous completed prefix, exactly once per shard,
-        # in index order -- deterministic regardless of completion order
-        nonlocal fired
-        while fired < len(plan) and fired in completed:
-            wins, elapsed, _, attempt, was_resumed = completed[fired]
-            report = ShardProgress(
-                index=fired,
-                trials=plan[fired],
-                wins=wins,
-                elapsed_seconds=elapsed,
-                completed_shards=fired + 1,
-                total_shards=len(plan),
-                attempt=attempt,
-                recovered=was_resumed or attempt > 0,
-            )
-            if progress is not None:
-                progress(report)
-            instr.emit(
-                "shard",
-                stream=stream,
-                index=fired,
-                trials=report.trials,
-                wins=report.wins,
-                elapsed_ns=(
-                    None if elapsed is None else int(round(elapsed * 1e9))
-                ),
-                attempt=attempt,
-                recovered=report.recovered,
-                completed=report.completed_shards,
-                total=report.total_shards,
-            )
-            fired += 1
-
-    def on_success(index: int, result: _Result, attempt: int) -> None:
-        wins, elapsed, snapshot = result
-        completed[index] = (wins, elapsed, snapshot, attempt, False)
-        if writer is not None:
-            writer.append(
-                fingerprint,
-                index,
-                names[index],
-                plan[index],
-                wins,
-                elapsed,
-                attempt,
-            )
-        flush_progress()
-
-    def on_failure(failure: ShardFailure) -> None:
-        failures.append(failure)
-        instr.emit(
-            "fault",
-            kind=failure.kind,
-            index=failure.index,
-            stream=failure.stream,
-            attempt=failure.attempt,
-            message=failure.message,
-        )
-
-    workers_used = min(workers, len(plan))
+    stats = {"shard_timeouts": 0, "pool_rebuilds": 0}
+    workers_used = min(workers, len(run.plan))
     pool_used = False
-    try:
-        with instr.span(
-            "simulation.sharded_estimate",
-            stream=stream,
-            trials=trials,
-            shards=len(plan),
-            workers=workers,
-        ):
-            start = time.perf_counter()
-            flush_progress()  # resumed prefix, if any
-            pending = [i for i in range(len(plan)) if i not in completed]
-            if pending and workers_used > 1:
-                reason = _pickle_failure(system, inputs)
-                if reason is None:
-                    try:
-                        _run_pool(
-                            tasks,
-                            pending,
-                            attempts,
-                            policy,
-                            workers_used,
-                            on_success,
-                            on_failure,
-                            stats,
-                        )
-                        pool_used = True
-                        pending = []
-                    except _PoolUnavailableError:
-                        # salvage: keep everything completed so far and
-                        # finish only the missing shards in-process
-                        pending = [
-                            i
-                            for i in range(len(plan))
-                            if i not in completed
-                        ]
-                elif collect:
-                    instr.increment("engine.pickle_fallback")
-                    instr.increment(f"engine.pickle_fallback.{reason}")
-            if pending:
-                _run_serial(
-                    tasks,
-                    pending,
-                    attempts,
-                    policy,
-                    on_success,
-                    on_failure,
-                    stats,
-                )
-            wall_seconds = time.perf_counter() - start
-    finally:
-        if writer is not None:
-            writer.close()
+    with run, run.instr.span(
+        "simulation.sharded_estimate",
+        stream=stream,
+        trials=trials,
+        shards=len(run.plan),
+        workers=workers,
+    ):
+        start = time.perf_counter()
+        run.flush_progress()  # resumed prefix, if any
+        pending = run.pending()
+        if pending and workers_used > 1:
+            reason = _pickle_failure(system, inputs)
+            if reason is None:
+                try:
+                    _run_pool(run, pending, workers_used, stats)
+                    pool_used = True
+                    pending = []
+                except _PoolUnavailableError:
+                    # salvage: keep everything completed so far and
+                    # finish only the missing shards in-process
+                    pending = run.pending()
+            elif run.collect:
+                run.instr.increment("engine.pickle_fallback")
+                run.instr.increment(f"engine.pickle_fallback.{reason}")
+        if pending:
+            run.run_serial(pending)
+        wall_seconds = time.perf_counter() - start
     if not pool_used:
         workers_used = 1
 
-    failed_indices = {f.index for f in failures}
+    failed_indices = {f.index for f in run.failures}
     salvaged = (
         sum(
             1
-            for index, record in completed.items()
-            if not record[4]  # not resumed
-            and attempts[index] == 1
+            for index, done in run.completed.items()
+            if not done.resumed
+            and run.attempts[index] == 1
             and index not in failed_indices
         )
-        if failures
+        if run.failures
         else 0
     )
-
-    outcomes = tuple(
-        ShardOutcome(
-            index=i,
-            stream=name,
-            trials=shard_trials,
-            wins=completed[i][0],
-            elapsed_seconds=completed[i][1],
-            attempt=completed[i][3],
-        )
-        for i, (shard_trials, name) in enumerate(zip(plan, names))
-    )
-    if collect:
-        for record in completed.values():
-            if record[2] is not None:
-                instr.metrics.merge(record[2])
-        instr.increment("engine.sharded_calls")
-        instr.set_gauge("engine.workers_used", workers_used)
-        instr.observe("engine.sharded_wall_seconds", wall_seconds)
-        instr.throughput.record(trials, wall_seconds)
-        for counter, value in (
-            ("engine.shard_retries", stats["retries"]),
-            ("engine.shard_timeouts", stats["timeouts"]),
-            ("engine.pool_rebuilds", stats["pool_rebuilds"]),
-            ("engine.shard_failures", len(failures)),
+    if run.collect:
+        run.instr.set_gauge("engine.workers_used", workers_used)
+        run.instr.observe("engine.sharded_wall_seconds", wall_seconds)
+    return run.result(
+        workers_used,
+        wall_seconds,
+        salvaged,
+        [
+            ("engine.sharded_calls", 1),
+            ("engine.shard_retries", run.retries),
+            *((f"engine.{name}", value) for name, value in stats.items()),
+            ("engine.shard_failures", len(run.failures)),
             ("engine.shards_salvaged", salvaged),
-            ("engine.shards_resumed", resumed),
-        ):
-            if value:
-                instr.increment(counter, value)
-    summary = BinomialSummary(
-        successes=sum(record[0] for record in completed.values()),
-        trials=trials,
-        z_score=z_score,
-    )
-    return ShardedEstimate(
-        summary=summary,
-        shard_outcomes=outcomes,
-        workers_used=workers_used,
-        failures=tuple(failures),
-        resumed_shards=resumed,
-        salvaged_shards=salvaged,
+            ("engine.shards_resumed", run.resumed),
+        ],
     )

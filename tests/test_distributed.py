@@ -16,6 +16,7 @@ parser, duplicate-summary idempotence, degradation to local execution,
 and the real ``repro work`` subprocess transport.
 """
 
+import dataclasses
 import subprocess
 import sys
 from fractions import Fraction
@@ -244,6 +245,54 @@ class TestCleanRuns:
     def test_workers_used_reports_peak(self):
         estimate = run_distributed(2, lease_seconds=30.0)
         assert 1 <= estimate.workers_used <= 2
+
+    def test_three_transports_record_the_same_run(self):
+        """Serial, pool and TCP feed one shard-run ledger, so a clean
+        run of one plan records the same progress, ``shard`` events
+        and outcomes on each; only timings and worker ids differ."""
+
+        def record(transport):
+            reports, events = [], []
+            with use_instrumentation() as instr:
+                instr.events = EventBus(
+                    subscribers=[events.append], metrics=instr.metrics
+                )
+                if transport == "tcp":
+                    estimate = run_distributed(
+                        2,
+                        lease_seconds=30.0,
+                        instrumentation=instr,
+                        progress=reports.append,
+                    )
+                else:
+                    estimate = estimate_winning_probability_sharded(
+                        make_system(),
+                        TRIALS,
+                        SeedSequenceFactory(SEED),
+                        stream=STREAM,
+                        shards=SHARDS,
+                        workers=1 if transport == "serial" else 2,
+                        instrumentation=instr,
+                        progress=reports.append,
+                    )
+            progress = [
+                dataclasses.replace(r, elapsed_seconds=None) for r in reports
+            ]
+            shard_events = [
+                {
+                    key: value
+                    for key, value in event.items()
+                    if key not in ("t_ns", "elapsed_ns", "worker")
+                }
+                for event in events
+                if event["type"] == "shard"
+            ]
+            return progress, shard_events, estimate.shard_outcomes
+
+        serial = record("serial")
+        assert len(serial[0]) == len(serial[1]) == SHARDS
+        assert record("pool") == serial
+        assert record("tcp") == serial
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ from fractions import Fraction
 
 import pytest
 
+from repro.distributed import (
+    DistributedConfig,
+    estimate_winning_probability_distributed,
+)
 from repro.model.algorithms import SingleThresholdRule
 from repro.model.system import DistributedSystem
 from repro.observability import use_instrumentation
@@ -60,6 +64,23 @@ def run_sharded(workers=1, fault_tolerance=None, progress=None, seed=SEED):
         fault_tolerance=fault_tolerance,
         progress=progress,
     )
+
+
+def run_on(transport, fault_tolerance=None):
+    """The standard plan through one transport: ``serial``, ``pool``
+    (two processes) or ``tcp`` (two in-process lease workers)."""
+    if transport == "tcp":
+        return estimate_winning_probability_distributed(
+            vector_system(),
+            TRIALS,
+            SeedSequenceFactory(SEED),
+            shards=SHARDS,
+            fault_tolerance=fault_tolerance,
+            config=DistributedConfig(port=0, idle_grace_seconds=0.3),
+            local_workers=2,
+        )
+    workers = 1 if transport == "serial" else 2
+    return run_sharded(workers=workers, fault_tolerance=fault_tolerance)
 
 
 def fast_retry(max_retries=2, **kwargs):
@@ -284,6 +305,18 @@ class TestCheckpointFile:
         assert checkpoint.corrupt_lines == 1
         assert sorted(checkpoint.outcomes("fp")) == [0, 2]
 
+    def test_flipped_high_bit_skips_only_that_record(self, tmp_path):
+        # one high-bit flip (0x22 -> 0xA2) makes a record invalid
+        # UTF-8: resume must skip it like any other corrupt line
+        path = tmp_path / "ckpt.jsonl"
+        self.fill(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"', b"\xa2", 1)
+        path.write_bytes(b"".join(lines))
+        checkpoint = load_checkpoint(path, 1)
+        assert checkpoint.corrupt_lines == 1
+        assert sorted(checkpoint.outcomes("fp")) == [0, 2]
+
     def test_torn_final_line_is_skipped(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         self.fill(path)
@@ -422,22 +455,30 @@ class TestRecoveryInvariant:
         assert estimate.salvaged_shards == SHARDS - 1
         assert clean_estimate.salvaged_shards == 0
 
-    def test_checkpoint_then_resume_halfway(self, tmp_path, clean_estimate):
+    @pytest.mark.parametrize("transport", ["serial", "pool", "tcp"])
+    def test_checkpoint_then_resume_halfway(
+        self, tmp_path, clean_estimate, transport
+    ):
         path = tmp_path / "ckpt.jsonl"
-        # first run dies when shard 5 exhausts a zero-retry budget ...
+        # first run dies when shard 5 exhausts a zero-retry budget
+        # (over TCP it crashes every worker that leases it, then the
+        # local salvage) ...
         config = FaultToleranceConfig(
             retry=fast_retry(max_retries=0),
-            fault_plan=FaultPlan.single("crash", shard=5),
+            fault_plan=FaultPlan(
+                {(None, 5, a): FaultSpec("crash") for a in range(4)}
+            ),
             checkpoint_path=path,
         )
         with pytest.raises(ShardRetriesExhaustedError):
-            run_sharded(workers=2, fault_tolerance=config)
+            run_on(transport, fault_tolerance=config)
         # ... leaving a partial checkpoint behind
         assert path.exists()
+        written = len(load_checkpoint(path, SEED).records)
         # the resumed run re-executes only the missing shards and is
         # bit-identical to the never-failed reference
-        estimate = run_sharded(
-            workers=2,
+        estimate = run_on(
+            transport,
             fault_tolerance=FaultToleranceConfig(
                 checkpoint_path=path, resume=True
             ),
@@ -446,6 +487,7 @@ class TestRecoveryInvariant:
         assert estimate.shard_outcomes == clean_estimate.shard_outcomes
         assert estimate.resumed_shards >= 1
         assert estimate.resumed_shards < SHARDS
+        assert estimate.resumed_shards == written
 
     def test_resume_with_wrong_seed_is_refused(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"

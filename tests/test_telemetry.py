@@ -308,6 +308,28 @@ class TestEventLogReplay:
         assert log.corrupt_lines == 2
         assert reconstruct_metrics(log).counters["a"] == 1
 
+    def test_flipped_high_bit_line_skipped(self, tmp_path):
+        # one high-bit flip (0x22 -> 0xA2) makes a line invalid UTF-8:
+        # it must count as corrupt, not abort the read
+        path = tmp_path / "events.jsonl"
+        registry = MetricsRegistry()
+        bus = EventBus(
+            path=path,
+            context=new_run_context(command="t"),
+            metrics=registry,
+        )
+        registry.increment("a", 1)
+        bus.emit("shard", index=0)
+        bus.close(exit_code=0)
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert b'"shard"' in lines[1]
+        lines[1] = lines[1].replace(b'"', b"\xa2", 1)
+        path.write_bytes(b"".join(lines))
+        log = read_events(path)
+        assert log.corrupt_lines == 1
+        assert log.of_type("shard") == []
+        assert reconstruct_metrics(log).counters["a"] == 1
+
     def test_counter_samples(self, tmp_path):
         path = tmp_path / "events.jsonl"
         registry = MetricsRegistry()
