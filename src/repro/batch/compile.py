@@ -39,6 +39,8 @@ Every certified/fallback decision is counted on the active
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -49,7 +51,7 @@ from repro.errors import PiecewiseDomainError
 from repro.observability import get_instrumentation
 from repro.symbolic.piecewise import PiecewisePolynomial
 from repro.symbolic.polynomial import Polynomial
-from repro.validation.fastpath import EPS
+from repro.validation.fastpath import EPS, certifies
 
 __all__ = ["BatchResult", "CompiledPiecewise"]
 
@@ -114,10 +116,21 @@ class CompiledPiecewise:
         degree = max(len(p.polynomial.coefficients) for p in pieces) - 1
         self._degree = max(degree, 0)
         coeffs = np.zeros((len(pieces), self._degree + 1), dtype=np.float64)
+        underflow = False
         for i, p in enumerate(pieces):
             for j, c in enumerate(p.polynomial.coefficients):
                 coeffs[i, j] = float(c)
+                underflow |= c != 0 and abs(coeffs[i, j]) < sys.float_info.min
         self._coeffs = coeffs
+        # A coefficient converted below the normal float range carries an
+        # absolute error the relative Horner bound misses; an absolute
+        # slack covers it and the subnormal roundings that follow.
+        reach = max(abs(self._edges[0]), abs(self._edges[-1]), 1.0)
+        self._slack = (
+            (2.0 * self._degree + 4.0) * math.ulp(0.0) * reach**self._degree
+            if underflow
+            else 0.0
+        )
         # Interior/terminal edges whose exact breakpoint is not exactly
         # float64-representable: points nearby are never certified.
         guarded = [
@@ -221,6 +234,8 @@ class CompiledPiecewise:
             values = values * arr + c
             magnitude = magnitude * abs_x + np.abs(c)
         bounds = (2.0 * self._degree + 4.0) * EPS * magnitude
+        if self._slack:
+            bounds = bounds + self._slack
         if self._guarded_edges.size:
             near = np.zeros(arr.shape, dtype=bool)
             for edge in self._guarded_edges:
@@ -239,16 +254,15 @@ class CompiledPiecewise:
         """Batched evaluation with per-point certification and exact
         fallback.
 
-        Every point is either *certified* (its bound does not exceed
-        ``max(abs_tol, rel_tol * |value|)``) or recomputed by the exact
-        ``Fraction`` kernel at ``Fraction(x)`` -- the same fallback
-        policy as the scalar fast paths of
+        Every point is either *certified* (its bound passes
+        :func:`~repro.validation.fastpath.certifies`) or recomputed by
+        the exact ``Fraction`` kernel at ``Fraction(x)`` -- the same
+        fallback policy as the scalar fast paths of
         :mod:`repro.probability.uniform_sums`.  Counts
         ``batch.points`` / ``batch.certified`` / ``batch.fallbacks``.
         """
         values, bounds = self.evaluate_with_bound(xs)
-        tolerance = np.maximum(abs_tol, rel_tol * np.abs(values))
-        certified = bounds <= tolerance
+        certified = certifies(values, bounds, rel_tol, abs_tol)
         exact_fallbacks: Dict[int, Fraction] = {}
         if not bool(certified.all()):
             values = values.copy()

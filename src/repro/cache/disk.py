@@ -3,9 +3,9 @@
 Storage discipline reuses the hardening of
 :mod:`repro.simulation.results_store`:
 
-* **Atomic writes.**  Every entry is written to a temporary file in
-  the cache directory, flushed, ``fsync``-ed, then moved over the
-  final name with :func:`os.replace` -- a crash or a concurrent
+* **Atomic writes.**  Every entry is written with
+  :func:`repro.fsutil.atomic_write` (temp file, ``fsync``,
+  :func:`os.replace`, directory ``fsync``) -- a crash or a concurrent
   reader/writer sees either a complete entry or none.  Two processes
   racing to cache the same key write byte-identical payloads, so the
   race is harmless.
@@ -36,15 +36,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.cache.codec import decode_value
 from repro.cache.keys import CACHE_SCHEMA_VERSION
-from repro.fsutil import fsync_directory
+from repro.fsutil import atomic_write
 from repro.observability import get_instrumentation
 
 __all__ = ["DiskCache"]
@@ -170,29 +168,11 @@ class DiskCache:
                 key, kernel, fingerprint, value_payload
             ),
         }
-        target = self._path_for(key)
         try:
-            self._directory.mkdir(parents=True, exist_ok=True)
-            descriptor, temp_name = tempfile.mkstemp(
-                dir=str(self._directory),
-                prefix=f".{key[:16]}.",
-                suffix=".tmp",
+            atomic_write(
+                self._path_for(key),
+                json.dumps(entry, separators=(",", ":")),
             )
-            try:
-                with os.fdopen(descriptor, "w") as handle:
-                    json.dump(entry, handle, separators=(",", ":"))
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(temp_name, target)
-                # second fsync, on the directory: the rename is not
-                # durable until its entry is flushed
-                fsync_directory(self._directory)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
         except OSError:
             return
         self._count("_writes", "cache.disk_writes")

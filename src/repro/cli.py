@@ -1258,70 +1258,49 @@ def _run_asymptotic(args: argparse.Namespace) -> int:
     from repro.optimize.asymptotic_opt import (
         near_optimal_symmetric_threshold,
     )
-    from repro.probability.regimes import DEFAULT_POLICY, RegimePolicy
+    from repro.probability.regimes import RegimePolicy
 
     if args.alpha is not None and args.beta is not None:
         print("choose --alpha or --beta, not both", file=sys.stderr)
         return 2
-    policy = (
-        DEFAULT_POLICY
-        if args.method == DEFAULT_POLICY.method
-        else RegimePolicy(method=args.method)
-    )
+    policy = RegimePolicy(method=args.method)
     start = time.perf_counter()
     payload: dict
     if args.alpha is not None:
         result = symmetric_oblivious_winning_regime(
             args.alpha, args.n, args.delta, policy
         )
-        lo, hi = result.bracket
         payload = {
             "family": "oblivious",
             "n": args.n,
             "delta": str(args.delta),
             "alpha": str(args.alpha),
-            "value": result.value,
-            "error_bound": result.error_bound,
-            "floor": lo,
-            "ceiling": hi,
-            "regime": result.regime,
-            "method": result.method,
+            **result.fields(),
         }
     elif args.beta is not None:
         result = symmetric_threshold_winning_regime(
             args.beta, args.n, args.delta, policy
         )
-        lo, hi = result.bracket
         payload = {
             "family": "threshold",
             "n": args.n,
             "delta": str(args.delta),
             "beta": str(args.beta),
-            "value": result.value,
-            "error_bound": result.error_bound,
-            "floor": lo,
-            "ceiling": hi,
-            "regime": result.regime,
-            "method": result.method,
+            **result.fields(),
         }
     else:
         optimum = near_optimal_symmetric_threshold(
             args.n, args.delta, policy
         )
-        lo, hi = optimum.bracket
         payload = {
             "family": "threshold-optimum",
             "n": args.n,
             "delta": str(args.delta),
             "beta": optimum.beta,
-            "value": optimum.value,
-            "error_bound": optimum.error_bound,
-            "floor": lo,
-            "ceiling": hi,
-            "gap_bound": optimum.gap_bound,
-            "evaluations": optimum.evaluations,
-            "regime": optimum.probability.regime,
-            "method": optimum.probability.method,
+            **optimum.probability.fields(
+                gap_bound=optimum.gap_bound,
+                evaluations=optimum.evaluations,
+            ),
         }
     payload["elapsed_seconds"] = time.perf_counter() - start
     if args.json:

@@ -205,7 +205,7 @@ def winning_probability(
     """Regime-dispatched winning probability: exact when affordable,
     certified-asymptotic when not.
 
-    Returns a :class:`~repro.probability.regimes.RegimeValue`.  For
+    Returns a :class:`~repro.validation.fastpath.Enclosure`.  For
     ``n <= policy.exact_max_n`` this is :func:`exact_winning_probability`
     wrapped with its (float-conversion-only) error bound and the exact
     ``Fraction`` attached.  Beyond that, the two symmetric families --
@@ -220,12 +220,8 @@ def winning_probability(
         symmetric_oblivious_winning_regime,
         symmetric_threshold_winning_regime,
     )
-    from repro.probability.regimes import (
-        DEFAULT_POLICY,
-        REGIME_EXACT,
-        RegimeValue,
-    )
-    from repro.validation.fastpath import EPS
+    from repro.probability.regimes import DEFAULT_POLICY
+    from repro.validation.fastpath import Enclosure
 
     if policy is None:
         policy = DEFAULT_POLICY
@@ -235,14 +231,8 @@ def winning_probability(
     n = len(algs)
     delta = as_fraction(capacity)
     if n <= policy.exact_max_n:
-        exact = exact_winning_probability(algs, delta)
-        value = float(exact)
-        return RegimeValue(
-            value=value,
-            error_bound=EPS * abs(value),
-            regime=REGIME_EXACT,
-            method="inclusion-exclusion",
-            exact=exact,
+        return Enclosure.of_fraction(
+            exact_winning_probability(algs, delta), "inclusion-exclusion"
         )
     if all(isinstance(a, SingleThresholdRule) for a in algs):
         thresholds = {as_fraction(a.threshold) for a in algs}

@@ -1,14 +1,14 @@
 """Filesystem durability and record-sealing helpers shared by every
 on-disk tier.
 
-The cache, results store, run store and checkpoint writer all follow
-the same discipline for atomic finalisation: write a temp file, flush,
-``fsync``, then ``os.replace`` onto the target.  That sequence makes
-the *contents* durable but not the *name*: POSIX only guarantees the
-rename itself survives a power cut once the containing directory's
-entry is flushed, which takes a second ``fsync`` -- on the directory.
+The disk cache, sweep store and run store replace whole files with
+:func:`atomic_write`: write a temp file, flush, ``fsync``, then
+``os.replace`` onto the target.  That sequence makes the *contents*
+durable but not the *name*: POSIX only guarantees the rename itself
+survives a power cut once the containing directory's entry is
+flushed, which takes a second ``fsync`` -- on the directory.
 :func:`fsync_directory` is that second fsync, shared so every tier
-applies the identical fix.
+(the checkpoint writer too) applies the identical fix.
 
 Durability is best-effort by design: a filesystem that cannot fsync a
 directory (some network mounts, some platforms) degrades to the old
@@ -29,10 +29,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
-__all__ = ["fsync_directory"]
+__all__ = ["atomic_write", "fsync_directory"]
 
 
 def fsync_directory(path: Union[str, Path]) -> bool:
@@ -55,6 +56,38 @@ def fsync_directory(path: Union[str, Path]) -> bool:
         return False
     finally:
         os.close(descriptor)
+
+
+def atomic_write(path: Union[str, Path], text: str) -> Path:
+    """Replace the file at *path* with *text*, atomically and durably;
+    returns the path written.
+
+    The text goes to a temp file ``.<name>.*.tmp`` in the same
+    directory (created if missing), which is flushed, fsynced and moved
+    over *path* with :func:`os.replace`; then the directory is fsynced.
+    A crash or a concurrent reader therefore sees the complete old file
+    or the complete new one, never a torn one.  On any exception the
+    temp file is removed and the exception propagates.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    descriptor, temp_name = tempfile.mkstemp(
+        dir=str(target.parent), prefix=f".{target.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(descriptor, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp_name, target)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
+    fsync_directory(target.parent)
+    return target
 
 
 def _canonical(payload: Mapping[str, Any]) -> str:

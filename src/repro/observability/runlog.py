@@ -5,12 +5,12 @@ overridable via ``--runs-dir`` / ``REPRO_RUNS_DIR``)::
 
     .repro/runs/<utc>-<run_id>/
         events.jsonl   the append-only event log (sealed lines)
-        run.json       the finalised summary (atomic tmp+fsync+replace)
+        run.json       the finalised summary (fsutil.atomic_write)
 
 ``events.jsonl`` is written live by the :class:`~repro.observability.
 events.EventBus` while the run executes; ``run.json`` is written once,
 at the end, with the storage discipline of the cache/results-store
-tiers (temp file, ``fsync``, ``os.replace``) so a crash leaves either
+tiers (:func:`repro.fsutil.atomic_write`) so a crash leaves either
 a complete summary or none -- a directory with events but no summary
 is an *incomplete* run, listed as such rather than hidden.
 
@@ -26,12 +26,11 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.fsutil import fsync_directory
+from repro.fsutil import atomic_write
 from repro.observability.events import (
     read_events,
     reconstruct_metrics,
@@ -102,9 +101,10 @@ class RunSummary:
 
 
 def _finalize_in_progress(directory: Path) -> bool:
-    """Whether another process is mid-finalize in *directory* (a
-    ``.run.*.tmp`` from :meth:`RunStore.finalize`, or the legacy
-    ``run.json.tmp`` name, still exists)."""
+    """Whether another process is mid-finalize in *directory* (the
+    ``.run.json.*.tmp`` temp file of :meth:`RunStore.finalize`, an
+    older ``.run.*.tmp``, or the legacy ``run.json.tmp`` name, still
+    exists)."""
     try:
         if any(directory.glob(".run.*.tmp")):
             return True
@@ -165,28 +165,10 @@ class RunStore:
         }
         if snapshot is not None:
             payload["metrics"] = snapshot_to_payload(snapshot)
-        target = directory / _SUMMARY_NAME
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=str(directory), prefix=".run.", suffix=".tmp"
+        return atomic_write(
+            directory / _SUMMARY_NAME,
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
         )
-        try:
-            with os.fdopen(descriptor, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_name, target)
-            # the rename itself is only durable once the directory
-            # entry is flushed; without this a crash after replace can
-            # still lose run.json entirely
-            fsync_directory(directory)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        return target
 
     def _summary_from_directory(self, directory: Path) -> RunSummary:
         summary_path = directory / _SUMMARY_NAME

@@ -26,20 +26,15 @@ entry point across the full range of ``n``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.core.asymptotic import symmetric_threshold_winning_regime
-from repro.probability.regimes import (
-    DEFAULT_POLICY,
-    REGIME_EXACT,
-    RegimePolicy,
-    RegimeValue,
-)
+from repro.probability.regimes import DEFAULT_POLICY, RegimePolicy
 from repro.symbolic.rational import RationalLike, as_fraction
-from repro.validation.fastpath import EPS
+from repro.validation.fastpath import Enclosure
 
 __all__ = [
     "AsymptoticOptimum",
@@ -65,7 +60,7 @@ class AsymptoticOptimum:
     n: int
     delta: Fraction
     beta: float
-    probability: RegimeValue
+    probability: Enclosure
     gap_bound: float
     evaluations: int
     exact: Optional[object] = None
@@ -121,31 +116,20 @@ def near_optimal_symmetric_threshold(
         from repro.optimize.threshold_opt import optimal_symmetric_threshold
 
         exact = optimal_symmetric_threshold(n, d)
-        value = float(exact.probability)
-        probability = RegimeValue(
-            value=value,
-            error_bound=EPS * abs(value),
-            regime=REGIME_EXACT,
-            method="piecewise-polynomial",
-            exact=exact.probability,
-        )
         return AsymptoticOptimum(
             n=n,
             delta=d,
             beta=float(exact.beta),
-            probability=probability,
+            probability=Enclosure.of_fraction(
+                exact.probability, "piecewise-polynomial"
+            ),
             gap_bound=0.0,
             evaluations=1,
             exact=exact,
         )
 
-    scan_policy = RegimePolicy(
-        exact_max_n=policy.exact_max_n,
-        exact_max_m=policy.exact_max_m,
-        certified_max_m=policy.certified_max_m,
-        method=policy.method,
-        rel_tol=policy.rel_tol,
-        abs_tol=policy.abs_tol,
+    scan_policy = replace(
+        policy,
         tail_tol=max(policy.tail_tol, min(1e-6, math.sqrt(policy.tail_tol))),
     )
 

@@ -21,7 +21,6 @@ variables, derived from the geometric volume formula of Proposition 2.2:
 """
 
 from repro.probability.asymptotics import (
-    AsymptoticCDF,
     AsymptoticQuantile,
     irwin_hall_cdf_asymptotic,
     irwin_hall_quantile_asymptotic,
@@ -31,7 +30,6 @@ from repro.probability.distributions import SumOfUniforms, Uniform
 from repro.probability.regimes import (
     DEFAULT_POLICY,
     RegimePolicy,
-    RegimeValue,
     irwin_hall_cdf_regime,
 )
 from repro.probability.moments import (
@@ -59,11 +57,9 @@ from repro.probability.uniform_sums import (
 )
 
 __all__ = [
-    "AsymptoticCDF",
     "AsymptoticQuantile",
     "DEFAULT_POLICY",
     "RegimePolicy",
-    "RegimeValue",
     "SumOfUniforms",
     "Uniform",
     "alternating_subset_sum",

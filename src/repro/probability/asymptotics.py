@@ -61,10 +61,10 @@ from statistics import NormalDist
 from typing import Sequence, Tuple
 
 from repro.errors import ValidationError
+from repro.validation.fastpath import TIER_ASYMPTOTIC, Enclosure
 
 __all__ = [
     "ASYMPTOTIC_METHODS",
-    "AsymptoticCDF",
     "AsymptoticQuantile",
     "BERRY_ESSEEN_CONSTANT",
     "UNIFORM_BE_RATIO",
@@ -87,6 +87,7 @@ UNIFORM_BE_RATIO = 12.0 * math.sqrt(12.0) / 32.0
 ASYMPTOTIC_METHODS = ("normal", "edgeworth")
 
 _SQRT2 = math.sqrt(2.0)
+_TINY = math.ulp(0.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _STD_NORMAL = NormalDist()
 
@@ -102,26 +103,8 @@ def normal_pdf(z: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * min(z * z, 1500.0))
 
 
-@dataclass(frozen=True)
-class AsymptoticCDF:
-    """A CDF estimate with a rigorous two-sided error bound.
-
-    The guarantee is ``|true CDF - value| <= error_bound``; the
-    :meth:`bracket` helper intersects that enclosure with ``[0, 1]``.
-    """
-
-    value: float
-    error_bound: float
-    method: str
-    m: int
-    z: float
-
-    def bracket(self) -> Tuple[float, float]:
-        """Certified ``(floor, ceiling)`` enclosure of the true CDF."""
-        return (
-            max(0.0, self.value - self.error_bound),
-            min(1.0, self.value + self.error_bound),
-        )
+#: Earlier name of the enclosure this module returns.
+AsymptoticCDF = Enclosure
 
 
 @dataclass(frozen=True)
@@ -154,12 +137,12 @@ def _raw_assemble(
     lambda4: float,
     sq_width_sum: float,
     method: str,
-) -> Tuple[float, float, float]:
+) -> Tuple[float, float]:
     """Shared estimate/bound assembly for the iid and non-iid cases.
 
-    Returns ``(value, error_bound, z)`` as a bare tuple -- the hot
-    path of the binomial-mixture engine calls this thousands of times
-    per query, so no dataclass is allocated here.
+    Returns ``(value, error_bound)`` as a bare tuple -- the hot path
+    of the binomial-mixture engine calls this thousands of times per
+    query, so no dataclass is allocated here.
     """
     z = (t - mean) / sigma
     value = 0.5 * math.erfc(-z / _SQRT2)
@@ -178,19 +161,17 @@ def _raw_assemble(
     # Tail sharpening: Hoeffding pins F into [0, tail] (left tail) or
     # [1 - tail, 1] (right tail), so the distance from any estimate in
     # [0, 1] to the true CDF is at most max(tail, distance to the
-    # pinned endpoint).
+    # pinned endpoint).  Strictly inside the support the true CDF is
+    # neither 0 nor 1, so the tail term is floored at the smallest
+    # subnormal instead of underflowing to an enclosure of zero width.
     s = t - mean
-    hoeff = (
-        math.exp(-2.0 * min(s * s / sq_width_sum, 700.0))
-        if sq_width_sum
-        else 0.0
-    )
+    hoeff = max(math.exp(-2.0 * (s * s / sq_width_sum)), _TINY)
     pinned = value if s < 0.0 else 1.0 - value
     if pinned < hoeff:
         pinned = hoeff
     if pinned < bound:
         bound = pinned
-    return value, bound, z
+    return value, bound
 
 
 _BE_IID = BERRY_ESSEEN_CONSTANT * UNIFORM_BE_RATIO
@@ -203,15 +184,16 @@ def irwin_hall_asymptotic_value_bound(
     :func:`irwin_hall_cdf_asymptotic`.
 
     The hot-path entry point for the binomial-mixture engine: same
-    numbers, no :class:`AsymptoticCDF` object, no argument validation
-    beyond the support short-circuits (``m >= 1`` and a recognised
-    *method* are the caller's responsibility).
+    numbers, no :class:`~repro.validation.fastpath.Enclosure`, no
+    argument validation beyond the support short-circuits (``m >= 1``
+    and a recognised *method* are the caller's responsibility).
     """
     if t <= 0.0:
         return 0.0, 0.0
     if t >= m:
         return 1.0, 0.0
-    value, bound, _ = _raw_assemble(
+    # kappa4 = -m/120; lambda4 = kappa4 / sigma^4 = -6/(5m).
+    return _raw_assemble(
         t,
         0.5 * m,
         math.sqrt(m / 12.0),
@@ -220,12 +202,18 @@ def irwin_hall_asymptotic_value_bound(
         float(m),
         method,
     )
-    return value, bound
+
+
+def _float_point(t: float) -> float:
+    t = float(t)
+    if math.isnan(t):
+        raise ValidationError("t must be a number, got nan")
+    return t
 
 
 def irwin_hall_cdf_asymptotic(
     t: float, m: int, method: str = "edgeworth"
-) -> AsymptoticCDF:
+) -> Enclosure:
     """Asymptotic ``P(sum of m iid U[0,1] <= t)`` with certified bound.
 
     ``O(1)`` for any ``m >= 1``; exact short-circuits outside the
@@ -234,50 +222,48 @@ def irwin_hall_cdf_asymptotic(
     _check_method(method)
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    t = float(t)
-    if t <= 0.0:
-        return AsymptoticCDF(0.0, 0.0, method, m, -math.inf)
-    if t >= m:
-        return AsymptoticCDF(1.0, 0.0, method, m, math.inf)
-    sigma = math.sqrt(m / 12.0)
-    be = _BE_IID / math.sqrt(m)
-    # kappa4 = -m/120; lambda4 = kappa4 / sigma^4 = -6/(5m).
-    value, bound, z = _raw_assemble(
-        t, m / 2.0, sigma, be, -1.2 / m, float(m), method
+    value, bound = irwin_hall_asymptotic_value_bound(
+        _float_point(t), m, method
     )
-    return AsymptoticCDF(value, bound, method, m, z)
+    return Enclosure(value, bound, TIER_ASYMPTOTIC, method, m=m)
 
 
 def sum_uniform_cdf_asymptotic(
     t: float, uppers: Sequence[float], method: str = "edgeworth"
-) -> AsymptoticCDF:
+) -> Enclosure:
     """Asymptotic ``P(sum x_i <= t)`` for ``x_i ~ U[0, uppers[i]]``.
 
     Non-iid analogue of :func:`irwin_hall_cdf_asymptotic`; linear in
     ``len(uppers)`` (one pass to accumulate moments).  Zero-width
     entries are the constant 0 and are dropped, mirroring the exact
-    kernel's convention.
+    kernel's convention.  The CDF is scale-invariant, so ``t`` and the
+    widths are first divided by the power of two nearest the largest
+    width: exact in binary, and it keeps the fourth-moment sums inside
+    float range for any finite widths.
     """
     _check_method(method)
+    t = _float_point(t)
     widths = []
     for i, u in enumerate(uppers):
         u = float(u)
-        if u < 0.0:
+        if not 0.0 <= u < math.inf:
             raise ValidationError(
-                f"uppers[{i}] must be >= 0, got {u}"
+                f"uppers[{i}] must be finite and >= 0, got {u}"
             )
         if u > 0.0:
             widths.append(u)
     m = len(widths)
     if m == 0:
-        value = 1.0 if float(t) >= 0.0 else 0.0
-        return AsymptoticCDF(value, 0.0, method, 0, math.nan)
-    t = float(t)
-    span = math.fsum(widths)
+        value = 1.0 if t >= 0.0 else 0.0
+        return Enclosure(value, 0.0, TIER_ASYMPTOTIC, method, m=0)
     if t <= 0.0:
-        return AsymptoticCDF(0.0, 0.0, method, m, -math.inf)
+        return Enclosure(0.0, 0.0, TIER_ASYMPTOTIC, method, m=m)
+    scale = math.ldexp(1.0, -math.frexp(max(widths))[1])
+    widths = [u * scale for u in widths]
+    t *= scale
+    span = math.fsum(widths)
     if t >= span:
-        return AsymptoticCDF(1.0, 0.0, method, m, math.inf)
+        return Enclosure(1.0, 0.0, TIER_ASYMPTOTIC, method, m=m)
     mean = 0.5 * span
     sq = math.fsum(u * u for u in widths)
     variance = sq / 12.0
@@ -288,10 +274,8 @@ def sum_uniform_cdf_asymptotic(
     # kappa4_i = -u_i^4/120.
     kappa4 = -math.fsum(u * u * u * u for u in widths) / 120.0
     lambda4 = kappa4 / (variance * variance)
-    value, bound, z = _raw_assemble(
-        t, mean, sigma, be, lambda4, sq, method
-    )
-    return AsymptoticCDF(value, bound, method, m, z)
+    value, bound = _raw_assemble(t, mean, sigma, be, lambda4, sq, method)
+    return Enclosure(value, bound, TIER_ASYMPTOTIC, method, m=m)
 
 
 def irwin_hall_quantile_asymptotic(

@@ -8,15 +8,17 @@ One query interface, three evaluation tiers, chosen per call:
   relative), reported as such; the exact ``Fraction`` rides along.
 * **certified** (medium ``m``) -- the compensated-float fast path
   with its a-posteriori certificate.  The reported bound is the
-  certification threshold ``max(abs_tol, rel_tol * |value|)``; when
-  the certificate fails the dispatcher transparently degrades to the
-  exact tier (and the fast path's own metrics count the fallback).
+  default certification threshold of
+  :func:`~repro.validation.fastpath.certifies`; when the certificate
+  fails the dispatcher transparently degrades to the exact tier (and
+  the fast path's own metrics count the fallback).
 * **asymptotic** (large ``m``) -- the Berry-Esseen / Edgeworth tier of
   :mod:`repro.probability.asymptotics`, ``O(1)`` for any ``m`` with a
   rigorous analytic bound.
 
-Every result is a :class:`RegimeValue` recording which tier answered
-and the guaranteed two-sided error bound, so downstream consumers
+Every result is an :class:`~repro.validation.fastpath.Enclosure`
+recording which tier answered and the guaranteed two-sided error
+bound, so downstream consumers
 (the large-``n`` winning-probability engine, the serve layer, the
 validation grid) can propagate certified enclosures instead of bare
 floats.  Dispatch decisions are counted on the active metrics
@@ -28,11 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.errors import NumericalInstabilityError, ValidationError
 from repro.probability.asymptotics import (
-    ASYMPTOTIC_METHODS,
+    _check_method,
     irwin_hall_cdf_asymptotic,
 )
 from repro.probability.uniform_sums import (
@@ -40,28 +42,27 @@ from repro.probability.uniform_sums import (
     irwin_hall_cdf,
 )
 from repro.symbolic.rational import RationalLike, as_fraction
-from repro.validation.fastpath import EPS
+from repro.validation.fastpath import (
+    TIER_ASYMPTOTIC as REGIME_ASYMPTOTIC,
+    TIER_CERTIFIED as REGIME_CERTIFIED,
+    TIER_EXACT as REGIME_EXACT,
+    Enclosure,
+    _tolerance,
+)
 
 __all__ = [
     "DEFAULT_POLICY",
-    "REGIMES",
     "REGIME_ASYMPTOTIC",
     "REGIME_CERTIFIED",
     "REGIME_EXACT",
     "RegimePolicy",
-    "RegimeValue",
     "irwin_hall_cdf_regime",
 ]
-
-REGIME_EXACT = "exact"
-REGIME_CERTIFIED = "certified"
-REGIME_ASYMPTOTIC = "asymptotic"
-REGIMES = (REGIME_EXACT, REGIME_CERTIFIED, REGIME_ASYMPTOTIC)
 
 
 @dataclass(frozen=True)
 class RegimePolicy:
-    """Crossover thresholds and tolerances for regime dispatch.
+    """Crossover thresholds and the tail budget for regime dispatch.
 
     ``exact_max_m`` / ``certified_max_m`` bound the Irwin-Hall order
     handled by the exact and certified tiers; anything larger goes
@@ -76,16 +77,10 @@ class RegimePolicy:
     exact_max_m: int = 24
     certified_max_m: int = 160
     method: str = "edgeworth"
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-15
     tail_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.method not in ASYMPTOTIC_METHODS:
-            raise ValidationError(
-                f"method must be one of {ASYMPTOTIC_METHODS}, "
-                f"got {self.method!r}"
-            )
+        _check_method(self.method)
         if self.exact_max_m < 0 or self.certified_max_m < 0:
             raise ValidationError("regime ceilings must be >= 0")
         if self.tail_tol <= 0.0:
@@ -95,32 +90,6 @@ class RegimePolicy:
 
 
 DEFAULT_POLICY = RegimePolicy()
-
-
-@dataclass(frozen=True)
-class RegimeValue:
-    """A probability with its regime provenance and certified bound.
-
-    The guarantee is ``|true value - value| <= error_bound``.  When
-    the exact tier answered, the untruncated ``Fraction`` is attached.
-    """
-
-    value: float
-    error_bound: float
-    regime: str
-    method: str
-    exact: Optional[Fraction] = None
-
-    @property
-    def bracket(self) -> Tuple[float, float]:
-        """Certified ``(floor, ceiling)`` enclosure, clipped to [0, 1]."""
-        return (
-            max(0.0, self.value - self.error_bound),
-            min(1.0, self.value + self.error_bound),
-        )
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _count(regime: str) -> None:
@@ -149,69 +118,46 @@ def _context(m: int) -> IrwinHallFastContext:
     return ctx
 
 
-def _exact_value(tt: Fraction, m: int) -> RegimeValue:
-    exact = irwin_hall_cdf(tt, m)
-    value = float(exact)
-    # float(Fraction) is correctly rounded: relative error <= eps/2.
-    return RegimeValue(
-        value=value,
-        error_bound=EPS * abs(value),
-        regime=REGIME_EXACT,
-        method="inclusion-exclusion",
-        exact=exact,
-    )
+def _exact_value(tt: Fraction, m: int) -> Enclosure:
+    _count(REGIME_EXACT)
+    return Enclosure.of_fraction(irwin_hall_cdf(tt, m), "inclusion-exclusion")
 
 
 def irwin_hall_cdf_regime(
     t: RationalLike, m: int, policy: RegimePolicy = DEFAULT_POLICY
-) -> RegimeValue:
+) -> Enclosure:
     """``P(sum of m iid U[0,1] <= t)`` via the cheapest adequate tier.
 
     Dispatch: ``m <= policy.exact_max_m`` -> exact Fraction kernel;
     ``m <= policy.certified_max_m`` -> certified fast path (degrading
     to exact if the certificate fails); larger ``m`` -> asymptotic
-    tier.  The returned :class:`RegimeValue` records the tier that
-    actually produced the value and its guaranteed error bound.
+    tier.  The returned :class:`~repro.validation.fastpath.Enclosure`
+    records the tier that actually produced the value and its
+    guaranteed error bound.
     """
     if m < 0:
         raise ValidationError(f"m must be >= 0, got {m}")
     tt = as_fraction(t)
     if m == 0:
-        value = 1.0 if tt >= 0 else 0.0
         _count(REGIME_EXACT)
-        return RegimeValue(
-            value=value,
-            error_bound=0.0,
-            regime=REGIME_EXACT,
-            method="empty-sum",
-            exact=Fraction(int(value)),
+        return Enclosure.of_fraction(
+            Fraction(int(tt >= 0)), "empty-sum", error_bound=0.0
         )
     if m <= policy.exact_max_m:
-        _count(REGIME_EXACT)
         return _exact_value(tt, m)
     if m <= policy.certified_max_m:
         try:
-            value = _context(m).cdf(
-                tt,
-                rel_tol=policy.rel_tol,
-                abs_tol=policy.abs_tol,
-                fallback="raise",
-            )
+            value = _context(m).cdf(tt, fallback="raise")
         except NumericalInstabilityError:
-            _count(REGIME_EXACT)
             return _exact_value(tt, m)
         _count(REGIME_CERTIFIED)
-        return RegimeValue(
-            value=value,
-            error_bound=max(policy.abs_tol, policy.rel_tol * abs(value)),
-            regime=REGIME_CERTIFIED,
-            method="compensated-float",
+        return Enclosure(
+            value, _tolerance(value), REGIME_CERTIFIED, "compensated-float"
         )
     _count(REGIME_ASYMPTOTIC)
-    approx = irwin_hall_cdf_asymptotic(float(tt), m, method=policy.method)
-    return RegimeValue(
-        value=approx.value,
-        error_bound=approx.error_bound,
-        regime=REGIME_ASYMPTOTIC,
-        method=policy.method,
-    )
+    # Clamped to the support first: float() of a far-out-of-range
+    # Fraction would overflow, and the tier short-circuits there anyway.
+    # A positive t stays positive (the CDF is monotone, so rounding a
+    # tiny t up to the smallest subnormal keeps the enclosure sound).
+    t_f = max(float(min(tt, m)), math.ulp(0.0)) if tt > 0 else 0.0
+    return irwin_hall_cdf_asymptotic(t_f, m, method=policy.method)

@@ -64,16 +64,9 @@ from repro.symbolic.rational import (
 from repro.validation.contracts import check_probability
 from repro.validation.fastpath import (
     EPS,
-    CertifiedFloat,
+    _UNCERTIFIABLE,
     certified_alternating_sum,
     resolve_guarded,
-)
-
-#: Sentinel for inputs the float tier cannot even represent: routed
-#: through :func:`resolve_guarded` so the fallback policy and the
-#: ``fastpath.fallbacks`` metrics apply uniformly.
-_UNCERTIFIABLE = CertifiedFloat(
-    value=math.nan, error_bound=math.inf, certified=False, terms=0
 )
 
 __all__ = [

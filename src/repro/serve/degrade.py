@@ -37,27 +37,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from repro.validation.fastpath import certifies  # re-exported
+
 __all__ = [
     "Deadline",
     "GridOptimum",
-    "TIER_ASYMPTOTIC",
-    "TIER_CERTIFIED",
-    "TIER_DEGRADED",
-    "TIER_EXACT",
     "certified_grid_optimum",
     "certifies",
 ]
-
-#: Answer tiers, in descending order of preference.
-TIER_CERTIFIED = "certified"  # float value, bound clears tolerance
-TIER_EXACT = "exact"  # Fraction fallback ran within budget
-TIER_ASYMPTOTIC = "asymptotic"  # large-n tier: certified analytic bound
-TIER_DEGRADED = "degraded"  # float value served with its bound only
-
-#: Default certification tolerances -- the same defaults as
-#: :meth:`CompiledPiecewise.evaluate_certified`.
-DEFAULT_REL_TOL = 1e-9
-DEFAULT_ABS_TOL = 1e-15
 
 
 class Deadline:
@@ -98,18 +85,6 @@ class Deadline:
             f"Deadline({self.budget_seconds * 1000:.0f}ms, "
             f"{self.remaining() * 1000:.0f}ms left)"
         )
-
-
-def certifies(
-    value: float,
-    bound: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> bool:
-    """Whether a float answer's a-posteriori bound clears the
-    tolerance -- the same predicate as
-    :meth:`CompiledPiecewise.evaluate_certified`."""
-    return bound <= max(abs_tol, rel_tol * abs(value))
 
 
 @dataclass(frozen=True)

@@ -42,13 +42,15 @@ from repro.cache import bypass_cache
 from repro.errors import ValidationError
 from repro.observability import get_instrumentation
 from repro.serve.degrade import (
+    certified_grid_optimum,
+    exact_fallback_with_budget,
+)
+from repro.validation.fastpath import (
     TIER_ASYMPTOTIC,
     TIER_CERTIFIED,
     TIER_DEGRADED,
     TIER_EXACT,
-    certified_grid_optimum,
     certifies,
-    exact_fallback_with_budget,
 )
 
 __all__ = ["Coalescer", "Response", "handle_request"]
@@ -299,12 +301,9 @@ async def _winning_probability(server, query, deadline, chaos) -> Response:
 
     key = (algorithm, n, delta)
     value, bound = await server.coalescer.evaluate(key, compiled, x)
-    config = server.config
     tier = TIER_DEGRADED
-    exact_text: Optional[str] = None
-    if not deadline.expired and certifies(
-        value, bound, config.rel_tol, config.abs_tol
-    ):
+    tail: Dict[str, str] = {}
+    if not deadline.expired and certifies(value, bound):
         tier = TIER_CERTIFIED
     elif not deadline.expired and server.breaker.allow():
         exact_kernel = compiled.exact
@@ -317,7 +316,7 @@ async def _winning_probability(server, query, deadline, chaos) -> Response:
         )
         if exact_value is not None:
             tier = TIER_EXACT
-            exact_text = str(exact_value)
+            tail["exact"] = str(exact_value)
             value = float(exact_value)
             bound = 0.0
     payload: Dict[str, Any] = {
@@ -327,14 +326,10 @@ async def _winning_probability(server, query, deadline, chaos) -> Response:
         point_name: x,
         "value": value,
         "error_bound": bound if bound != float("inf") else "inf",
-        "tier": tier,
-        "certified": tier != TIER_DEGRADED,
-        "deadline_ms": deadline.budget_seconds * 1000.0,
-        "elapsed_ms": deadline.elapsed() * 1000.0,
     }
-    if exact_text is not None:
-        payload["exact"] = exact_text
-    return _finish(server, "winning-probability", tier, payload, deadline)
+    return _finish(
+        server, "winning-probability", tier, payload, deadline, **tail
+    )
 
 
 async def _winning_probability_asymptotic(
@@ -359,31 +354,22 @@ async def _winning_probability_asymptotic(
             f"{point_name}={x} outside domain [0.0, 1.0]"
         )
     parameter = Fraction(x).limit_denominator(10**9)
-    if algorithm == "oblivious":
-        def kernel():
-            return symmetric_oblivious_winning_regime(parameter, n, delta)
-    else:
-        def kernel():
-            return symmetric_threshold_winning_regime(parameter, n, delta)
-    result = await exact_fallback_with_budget(kernel, deadline)
+    regime = (
+        symmetric_oblivious_winning_regime
+        if algorithm == "oblivious"
+        else symmetric_threshold_winning_regime
+    )
+    result = await exact_fallback_with_budget(
+        lambda: regime(parameter, n, delta), deadline
+    )
     if result is None:
         return _budget_exhausted_response()
-    floor, ceiling = result.bracket
     payload: Dict[str, Any] = {
         "n": n,
         "delta": str(delta),
         "algorithm": algorithm,
         point_name: x,
-        "value": result.value,
-        "error_bound": result.error_bound,
-        "floor": floor,
-        "ceiling": ceiling,
-        "regime": result.regime,
-        "method": result.method,
-        "tier": TIER_ASYMPTOTIC,
-        "certified": True,
-        "deadline_ms": deadline.budget_seconds * 1000.0,
-        "elapsed_ms": deadline.elapsed() * 1000.0,
+        **result.fields(),
     }
     return _finish(
         server, "winning-probability", TIER_ASYMPTOTIC, payload, deadline
@@ -419,10 +405,6 @@ async def _optimal_strategy_asymptotic(server, deadline, n, delta) -> Response:
         "evaluations": optimum.evaluations,
         "regime": optimum.probability.regime,
         "method": optimum.probability.method,
-        "tier": TIER_ASYMPTOTIC,
-        "certified": True,
-        "deadline_ms": deadline.budget_seconds * 1000.0,
-        "elapsed_ms": deadline.elapsed() * 1000.0,
     }
     return _finish(
         server, "optimal-strategy", TIER_ASYMPTOTIC, payload, deadline
@@ -476,18 +458,22 @@ async def _optimal_strategy(server, query, deadline, chaos) -> Response:
             "probability_ceiling": grid.ceiling,
             "error_bound": grid.error_bound,
         }
-    payload.update(
-        {
-            "tier": tier,
-            "certified": tier != TIER_DEGRADED,
-            "deadline_ms": deadline.budget_seconds * 1000.0,
-            "elapsed_ms": deadline.elapsed() * 1000.0,
-        }
-    )
     return _finish(server, "optimal-strategy", tier, payload, deadline)
 
 
-def _finish(server, endpoint, tier, payload, deadline) -> Response:
+def _finish(server, endpoint, tier, payload, deadline, **tail) -> Response:
+    """Close *payload* with the tier block, then *tail*; count; respond.
+
+    ``certified`` is true in every tier but ``degraded``: the bound
+    served with the value is guaranteed to hold.
+    """
+    payload.update(
+        tier=tier,
+        certified=tier != TIER_DEGRADED,
+        deadline_ms=deadline.budget_seconds * 1000.0,
+        elapsed_ms=deadline.elapsed() * 1000.0,
+        **tail,
+    )
     instr = server.instrumentation
     instr.increment(f"serve.tier_{tier}")
     if tier == TIER_DEGRADED:

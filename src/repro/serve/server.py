@@ -43,11 +43,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.errors import ServeError
 from repro.observability import Instrumentation, get_instrumentation
 from repro.serve.admission import AdmissionController, CircuitBreaker
-from repro.serve.degrade import (
-    DEFAULT_ABS_TOL,
-    DEFAULT_REL_TOL,
-    Deadline,
-)
+from repro.serve.degrade import Deadline
 from repro.serve.handlers import Coalescer, Response, handle_request
 from repro.simulation.faulttolerance import FaultPlan
 
@@ -82,8 +78,6 @@ class ServeConfig:
     )
     warm_optima: bool = True
     chaos: Optional[FaultPlan] = None
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
     max_n: int = 32
     asymptotic_max_n: int = 10_000_000
     breaker_failures: int = 3

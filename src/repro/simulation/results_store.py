@@ -28,14 +28,12 @@ workflow: run disjoint grids, merge, render.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
 from repro.errors import ResultsStoreError
-from repro.fsutil import fsync_directory
+from repro.fsutil import atomic_write
 from repro.simulation.runner import SweepPoint, SweepResult
 
 __all__ = [
@@ -171,33 +169,13 @@ def sweep_from_dict(payload: Dict) -> SweepResult:
 def save_sweep(result: SweepResult, path: Union[str, Path]) -> Path:
     """Write a sweep result as JSON, atomically; returns the path written.
 
-    The payload is written to a temporary file in the *same* directory,
-    flushed and fsynced, then moved over the target with
-    :func:`os.replace`.  A crash (or a concurrent reader) therefore
-    sees either the complete old file or the complete new one -- never
-    a truncated JSON document, which is exactly the corruption mode a
-    resumed campaign would otherwise trip over.
+    :func:`repro.fsutil.atomic_write` replaces the target whole, so a
+    crash (or a concurrent reader) sees either the complete old file or
+    the complete new one -- never a truncated JSON document, which is
+    exactly the corruption mode a resumed campaign would otherwise trip
+    over.
     """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, temp_name = tempfile.mkstemp(
-        dir=str(target.parent), prefix=f".{target.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(descriptor, "w") as handle:
-            json.dump(sweep_to_dict(result), handle, indent=2)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_name, target)
-        # the rename needs the directory entry flushed to be durable
-        fsync_directory(target.parent)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-    return target
+    return atomic_write(path, json.dumps(sweep_to_dict(result), indent=2))
 
 
 def load_sweep(path: Union[str, Path]) -> SweepResult:

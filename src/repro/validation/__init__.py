@@ -44,7 +44,7 @@ from repro.validation.contracts import (
     violation_count,
 )
 from repro.validation.fastpath import (
-    CertifiedFloat,
+    Enclosure,
     certified_alternating_sum,
     neumaier_sum,
 )
@@ -54,7 +54,7 @@ __all__ = [
     "AsymptoticAgreementReport",
     "AsymptoticCaseReport",
     "CaseReport",
-    "CertifiedFloat",
+    "Enclosure",
     "OracleCase",
     "default_asymptotic_grid",
     "run_asymptotic_agreement",

@@ -29,6 +29,10 @@ false "not certified" costs a fallback, a false "certified" would be a
 lie -- and the property suite asserts the certificate against exact
 values on randomized cases.
 
+Every certified probability any kernel returns -- exact, certified
+float, asymptotic or degraded -- leaves it as an :class:`Enclosure`,
+and :func:`certifies` is the one tolerance predicate all tiers share.
+
 Pure float/math code apart from :func:`resolve_guarded`, which lazily
 reaches into :mod:`repro.observability` to count certified results and
 exact fallbacks.
@@ -39,14 +43,20 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from fractions import Fraction
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.errors import NumericalInstabilityError
 
 __all__ = [
     "EPS",
-    "CertifiedFloat",
+    "Enclosure",
+    "TIER_ASYMPTOTIC",
+    "TIER_CERTIFIED",
+    "TIER_DEGRADED",
+    "TIER_EXACT",
     "certified_alternating_sum",
+    "certifies",
     "neumaier_sum",
     "resolve_guarded",
 ]
@@ -54,31 +64,116 @@ __all__ = [
 #: Machine epsilon of IEEE-754 double precision (2**-52).
 EPS: float = sys.float_info.epsilon
 
+#: Answer tiers, in the serving layer's order of preference.
+TIER_CERTIFIED = "certified"  # float value, bound clears tolerance
+TIER_EXACT = "exact"  # correctly rounded exact Fraction
+TIER_ASYMPTOTIC = "asymptotic"  # large-n tier: certified analytic bound
+TIER_DEGRADED = "degraded"  # float value whose bound did not certify
+
+#: Default certification tolerances of every float tier.
+DEFAULT_REL_TOL = 1e-9
+DEFAULT_ABS_TOL = 1e-15
+
+
+def certifies(
+    value: float,
+    bound: float,
+    rel_tol: float = DEFAULT_REL_TOL,
+    abs_tol: float = DEFAULT_ABS_TOL,
+) -> bool:
+    """Whether a float answer's a-posteriori *bound* is small enough,
+    relative to *value*, for the float to stand in for the exact
+    result: ``bound <= max(abs_tol, rel_tol * |value|)``.
+
+    Written as two comparisons so that it also works elementwise on
+    numpy arrays of values and bounds.
+    """
+    return (bound <= abs_tol) | (bound <= rel_tol * abs(value))
+
+
+def _tolerance(value: float) -> float:
+    """The widest bound :func:`certifies` accepts for *value* at the
+    default tolerances."""
+    return max(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * abs(value))
+
 
 @dataclass(frozen=True)
-class CertifiedFloat:
-    """A float result carrying its own a-posteriori error bound.
+class Enclosure:
+    """A probability with a guaranteed bound and where it came from.
 
-    ``certified`` is the caller-policy verdict: the bound is small
-    enough (relative to *value*) that the float can replace the exact
-    result.  ``terms`` records how many series terms contributed.
+    The guarantee is ``|true value - value| <= error_bound``.
+    *regime* is the tier that answered (a ``TIER_*`` constant),
+    *method* the kernel inside it, *exact* the untruncated
+    ``Fraction`` when there is one, and *m* the number of
+    positive-width uniform summands when an asymptotic CDF kernel
+    answered.  A plain frozen dataclass: the mixture hot path builds
+    one per small-order factor.
     """
 
     value: float
     error_bound: float
-    certified: bool
-    terms: int
+    regime: str
+    method: str
+    exact: Optional[Fraction] = None
+    m: Optional[int] = None
 
-    def require_certified(self, context: str) -> "CertifiedFloat":
-        """Return self, raising :class:`NumericalInstabilityError` when
-        the bound failed to certify the value."""
-        if not self.certified:
-            raise NumericalInstabilityError(
-                f"{context}: float result {self.value!r} carries error "
-                f"bound {self.error_bound:.3e}, too wide to certify; "
-                "use the exact Fraction path"
+    @classmethod
+    def of_fraction(
+        cls,
+        exact: Fraction,
+        method: str,
+        error_bound: Optional[float] = None,
+    ) -> "Enclosure":
+        """The exact tier's answer: *exact* correctly rounded to float.
+
+        ``float(Fraction)`` is correctly rounded, so the default bound
+        is ``eps * |value|`` -- floored at the smallest subnormal when
+        the conversion underflows.  *error_bound* overrides it for
+        values known to convert exactly.
+        """
+        value = float(exact)
+        if error_bound is None:
+            error_bound = (
+                max(EPS * abs(value), math.ulp(0.0)) if exact else 0.0
             )
-        return self
+        return cls(value, error_bound, TIER_EXACT, method, exact)
+
+    @property
+    def certified(self) -> bool:
+        """Whether the bound met its tier's contract (every tier but
+        ``degraded``)."""
+        return self.regime != TIER_DEGRADED
+
+    @property
+    def bracket(self) -> Tuple[float, float]:
+        """Certified ``(floor, ceiling)`` enclosure, clipped to [0, 1]."""
+        return (
+            max(0.0, self.value - self.error_bound),
+            min(1.0, self.value + self.error_bound),
+        )
+
+    def fields(self, **between: Any) -> Dict[str, Any]:
+        """The ``value, error_bound, floor, ceiling, ..., regime,
+        method`` block of a JSON payload; *between* goes before
+        ``regime``."""
+        floor, ceiling = self.bracket
+        return {
+            "value": self.value,
+            "error_bound": self.error_bound,
+            "floor": floor,
+            "ceiling": ceiling,
+            **between,
+            "regime": self.regime,
+            "method": self.method,
+        }
+
+
+#: The answer of a float series that cannot even be evaluated: routed
+#: through :func:`resolve_guarded` so the fallback policy and the
+#: ``fastpath.fallbacks`` metrics apply uniformly.
+_UNCERTIFIABLE = Enclosure(
+    math.nan, math.inf, TIER_DEGRADED, "compensated-float"
+)
 
 
 def neumaier_sum(values: Iterable[float]) -> Tuple[float, float]:
@@ -108,9 +203,9 @@ def certified_alternating_sum(
     signed_bases: Iterable[Tuple[int, float, float]],
     power: int,
     normaliser: float,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-15,
-) -> CertifiedFloat:
+    rel_tol: float = DEFAULT_REL_TOL,
+    abs_tol: float = DEFAULT_ABS_TOL,
+) -> Enclosure:
     """Evaluate ``(1/normaliser) * sum sign * base**power`` with a bound.
 
     *signed_bases* yields ``(sign, base, base_error)`` triples: the
@@ -123,18 +218,15 @@ def certified_alternating_sum(
     base is unknown, so the slack ``(2 * base_error)**power`` covers a
     possible misclassification of the strict condition.
 
-    The result is certified when the accumulated bound does not exceed
-    ``max(abs_tol, rel_tol * |value|)``.
+    The result is ``certified`` when the accumulated bound
+    :func:`certifies` the value, and ``degraded`` otherwise.
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
     if normaliser == 0.0:
         raise ValueError("normaliser must be nonzero")
-    total = 0.0
-    compensation = 0.0
-    abs_sum = 0.0
+    addends = []
     term_error = 0.0
-    count = 0
     try:
         for sign, base, base_error in signed_bases:
             if abs(base) <= base_error:
@@ -147,45 +239,28 @@ def certified_alternating_sum(
             term_error += term * (power + 1) * EPS
             if base_error > 0.0:
                 term_error += power * base ** (power - 1) * base_error
-            addend = term if sign > 0 else -term
-            partial = total + addend
-            if abs(total) >= abs(addend):
-                compensation += (total - partial) + addend
-            else:
-                compensation += (addend - partial) + total
-            total = partial
-            abs_sum += term
-            count += 1
+            addends.append(term if sign > 0 else -term)
     except OverflowError:
         # A term escaped float range (float ** int raises instead of
         # returning inf).  The series is unsalvageable in floats; hand
         # the caller an uncertified result so the normal fallback
         # policy -- not an exception -- decides what happens next.
-        return CertifiedFloat(
-            value=math.nan,
-            error_bound=math.inf,
-            certified=False,
-            terms=count,
-        )
-    raw = total + compensation
+        return _UNCERTIFIABLE
+    raw, abs_sum = neumaier_sum(addends)
     # Compensated summation leaves ~2 eps per unit of magnitude summed,
     # plus one rounding for folding the compensation back in.
     summation_error = 2.0 * EPS * abs_sum + EPS * abs(raw)
     scale = abs(normaliser)
     value = raw / normaliser
     bound = (term_error + summation_error) / scale + 2.0 * EPS * abs(value)
-    certified = bound <= max(abs_tol, rel_tol * abs(value))
-    return CertifiedFloat(
-        value=value,
-        error_bound=bound,
-        certified=certified,
-        terms=count,
-    )
+    if certifies(value, bound, rel_tol, abs_tol):
+        return Enclosure(value, bound, TIER_CERTIFIED, "compensated-float")
+    return Enclosure(value, bound, TIER_DEGRADED, "compensated-float")
 
 
 def resolve_guarded(
     context: str,
-    guarded: CertifiedFloat,
+    guarded: Enclosure,
     exact_thunk,
     fallback: str = "exact",
 ) -> float:
@@ -217,5 +292,9 @@ def resolve_guarded(
     if guarded.certified:
         return guarded.value
     if fallback == "raise":
-        guarded.require_certified(context)
+        raise NumericalInstabilityError(
+            f"{context}: float result {guarded.value!r} carries error "
+            f"bound {guarded.error_bound:.3e}, too wide to certify; "
+            "use the exact Fraction path"
+        )
     return float(exact_thunk())

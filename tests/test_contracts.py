@@ -14,7 +14,16 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.oblivious import oblivious_winning_probability
+from repro.batch.tables import compiled_oblivious_curve, compiled_threshold_curve
+from repro.core.asymptotic import (
+    symmetric_oblivious_winning_regime,
+    symmetric_threshold_winning_regime,
+)
+from repro.core.nonoblivious import symmetric_threshold_winning_probability
+from repro.core.oblivious import (
+    oblivious_winning_probability,
+    symmetric_oblivious_winning_probability,
+)
 from repro.errors import (
     ContractViolation,
     NumericalInstabilityError,
@@ -28,6 +37,13 @@ from repro.geometry.volume import (
     intersection_volume_fast,
 )
 from repro.observability import use_instrumentation
+from repro.optimize.threshold_opt import optimal_symmetric_threshold
+from repro.probability.asymptotics import sum_uniform_cdf_asymptotic
+from repro.probability.regimes import (
+    DEFAULT_POLICY,
+    RegimePolicy,
+    irwin_hall_cdf_regime,
+)
 from repro.probability.uniform_sums import (
     irwin_hall_cdf,
     irwin_hall_cdf_fast,
@@ -48,6 +64,7 @@ from repro.validation.contracts import (
     use_contracts,
     violation_count,
 )
+from repro.serve.degrade import certified_grid_optimum
 from repro.validation.fastpath import (
     certified_alternating_sum,
     neumaier_sum,
@@ -453,3 +470,256 @@ class TestBoundaryConventions:
                 m - t, [1 - v for v in lowers]
             )
             assert direct == reflected
+
+
+# ---------------------------------------------------------------------------
+# One containment suite over every answer tier
+# ---------------------------------------------------------------------------
+
+FORCED_ASYMPTOTIC = RegimePolicy(
+    exact_max_n=0, exact_max_m=0, certified_max_m=0
+)
+HUGE = Fraction(10**400)  # beyond float range
+TINY = Fraction(1, 10**400)  # rounds to 0.0
+
+
+def label(x):
+    """A printable form of a Fraction that may lie beyond float range."""
+    if abs(x) > 10**300:
+        return "-1e400" if x < 0 else "1e400"
+    if 0 < abs(x) < Fraction(1, 10**300):
+        return "1e-400"
+    return repr(float(x))
+
+
+def near(point):
+    """*point* and the floats one ulp either side of it."""
+    x = float(point)
+    return [
+        Fraction(math.nextafter(x, -math.inf)),
+        Fraction(x),
+        Fraction(math.nextafter(x, math.inf)),
+    ]
+
+
+def irwin_hall_cases(rng, ms, policy=DEFAULT_POLICY):
+    """Irwin-Hall CDFs through the regime dispatcher, each paired with
+    its exact value, at random points, within an ulp of an integer
+    breakpoint, and beyond float range."""
+    for m in ms:
+        points = [
+            random_fraction(rng, 0, m, denominator=97) for _ in range(4)
+        ]
+        points += near(rng.randint(1, max(m, 1))) + [TINY, HUGE, -HUGE]
+        for t in points:
+            yield (
+                f"irwin-hall t={label(t)} m={m}",
+                lambda: irwin_hall_cdf_regime(t, m, policy),
+                lambda: irwin_hall_cdf(t, m),
+            )
+
+
+def capacities(rng, n):
+    return [
+        random_fraction(rng, 0, n, denominator=12),
+        *near(1),
+        TINY,
+        HUGE,
+        Fraction(n),
+    ]
+
+
+def symmetric_cases(rng, ns, policy=DEFAULT_POLICY):
+    """Threshold and oblivious winning probabilities, each paired with
+    its exact value, at random and adversarial points."""
+    for n in ns:
+        for delta in capacities(rng, n):
+            points = [random_fraction(rng), Fraction(0)]
+            if delta < n:
+                points += near(delta / n)
+            for point in points:
+                yield (
+                    f"threshold n={n} delta={label(delta)} beta={label(point)}",
+                    lambda: symmetric_threshold_winning_regime(
+                        point, n, delta, policy
+                    ),
+                    lambda: symmetric_threshold_winning_probability(
+                        point, n, delta
+                    ),
+                )
+                yield (
+                    f"oblivious n={n} delta={label(delta)} alpha={label(point)}",
+                    lambda: symmetric_oblivious_winning_regime(
+                        point, n, delta, policy
+                    ),
+                    lambda: symmetric_oblivious_winning_probability(
+                        delta, n, point
+                    ),
+                )
+
+
+def exact_tier_cases(rng):
+    yield from irwin_hall_cases(rng, [0, 1, 2, rng.randint(3, 23), 24])
+    yield from symmetric_cases(rng, [2, 3, rng.randint(4, 8)])
+
+
+def certified_tier_cases(rng):
+    for _ in range(3):
+        yield from irwin_hall_cases(rng, [25, rng.randint(26, 159), 160])
+
+
+def asymptotic_tier_cases(rng):
+    yield from irwin_hall_cases(
+        rng, [1, 2, rng.randint(3, 40)], FORCED_ASYMPTOTIC
+    )
+    width_sets = [
+        [1e300, 1e300],
+        [1e-300, 2e-300, 0.0],
+        [0.0, 0.0],
+        [rng.random(), 0.0, rng.random() * 10, 1.0],
+    ]
+    for widths in width_sets:
+        exact_widths = [Fraction(u) for u in widths]
+        for t in [widths[0] / 4, sum(widths) / 2, 5e-324, 0.0]:
+            yield (
+                f"sum-uniform t={t!r} widths={widths}",
+                lambda: sum_uniform_cdf_asymptotic(t, widths),
+                lambda: sum_uniform_cdf(Fraction(t), exact_widths),
+            )
+    yield from symmetric_cases(rng, [2, rng.randint(3, 10)], FORCED_ASYMPTOTIC)
+    for n in [100, 10**6]:
+        # delta >= n: every bin load is at most n, so the game is won.
+        yield (
+            f"threshold n={n} delta=1e400",
+            lambda: symmetric_threshold_winning_regime(
+                Fraction(1, 2), n, HUGE
+            ),
+            lambda: Fraction(1),
+        )
+    # Beyond exact reach: only well-formedness is checkable.
+    for t in [Fraction(1, 3), Fraction(499_999), Fraction(10**6 - 1)]:
+        yield (
+            f"irwin-hall t={label(t)} m=1e6",
+            lambda: irwin_hall_cdf_regime(t, 10**6),
+            lambda: None,
+        )
+
+
+def batch_cases(rng):
+    """One case per compiled curve; the answer is a whole BatchResult."""
+    for n in [2, rng.randint(3, 4)]:
+        for delta in [Fraction(1, 2), Fraction(4, 3), TINY, HUGE]:
+            for kind, compiled, exact in [
+                (
+                    "threshold",
+                    compiled_threshold_curve(n, delta),
+                    lambda x: symmetric_threshold_winning_probability(
+                        x, n, delta
+                    ),
+                ),
+                (
+                    "oblivious",
+                    compiled_oblivious_curve(delta, n),
+                    lambda x: symmetric_oblivious_winning_probability(
+                        delta, n, x
+                    ),
+                ),
+            ]:
+                xs = [rng.random() for _ in range(8)]
+                for edge in compiled.edges:
+                    xs += [float(x) for x in near(edge) if 0 <= x <= 1]
+                yield (
+                    f"{kind} n={n} delta={label(delta)}",
+                    lambda: (xs, compiled.evaluate_certified(xs)),
+                    exact,
+                )
+
+
+def grid_cases(rng):
+    for n in [2, 3, rng.randint(2, 4)]:
+        for delta in [Fraction(1, 2), Fraction(1), random_fraction(
+            rng, Fraction(1, 4), n, denominator=8
+        ), TINY, HUGE]:
+            yield (
+                f"grid n={n} delta={label(delta)}",
+                lambda: certified_grid_optimum(
+                    compiled_threshold_curve(n, delta)
+                ),
+                lambda: optimal_symmetric_threshold(n, delta).probability,
+            )
+
+
+def assert_encloses(value, bound, floor, ceiling, truth, context):
+    """``|value - truth| <= bound`` in exact arithmetic, and the float
+    ``[floor, ceiling]`` -- the rounded image of ``value -+ bound`` --
+    holds the correctly rounded truth."""
+    assert not math.isnan(value) and bound >= 0.0, context
+    assert 0.0 <= floor <= ceiling <= 1.0, context
+    if truth is None:
+        return
+    if bound != math.inf:
+        assert abs(Fraction(value) - truth) <= Fraction(bound), context
+    assert floor <= float(truth) <= ceiling, context
+
+
+def check_batch(case, truth):
+    xs, result = case
+    for i, x in enumerate(xs):
+        exact = truth(Fraction(x))
+        if not result.certified[i]:
+            # Exact fallback: the attached Fraction is the answer.
+            assert result.exact_fallbacks[i] == exact, x
+            continue
+        value, bound = float(result.values[i]), float(result.error_bounds[i])
+        assert_encloses(
+            value,
+            bound,
+            max(0.0, value - bound),
+            min(1.0, value + bound),
+            exact,
+            x,
+        )
+
+
+TIER_CASES = {
+    "exact": exact_tier_cases,
+    "certified": certified_tier_cases,
+    "asymptotic": asymptotic_tier_cases,
+    "batch": batch_cases,
+    "grid": grid_cases,
+}
+
+
+class TestEveryTierEnclosesTheTruth:
+    """The certification contract, checked the same way in every tier:
+    the reported bound holds the exact ``Fraction`` wherever exact
+    arithmetic is feasible, and the only exceptions that escape are
+    typed :class:`ReproError` subclasses."""
+
+    @pytest.mark.parametrize("tier", sorted(TIER_CASES))
+    def test_encloses_exact_value(self, tier):
+        rng = random.Random(131)
+        checked = 0
+        for context, answer, truth in TIER_CASES[tier](rng):
+            try:
+                result = answer()
+            except ReproError:
+                continue
+            checked += 1
+            if tier == "batch":
+                check_batch(result, truth)
+            elif tier == "grid":
+                exact = truth()
+                assert result.floor <= result.ceiling <= 1.0, context
+                assert (
+                    Fraction(result.floor) <= exact <= Fraction(result.ceiling)
+                ), context
+            else:
+                assert_encloses(
+                    result.value,
+                    result.error_bound,
+                    *result.bracket,
+                    truth(),
+                    context,
+                )
+        assert checked >= 10

@@ -62,7 +62,7 @@ class TestIrwinHallAsymptotic:
             exact = float(irwin_hall_cdf(t, m))
             approx = irwin_hall_cdf_asymptotic(float(t), m, method=method)
             assert abs(exact - approx.value) <= approx.error_bound
-            lo, hi = approx.bracket()
+            lo, hi = approx.bracket
             assert lo <= exact <= hi
 
     def test_edgeworth_estimate_beats_normal(self):
@@ -159,6 +159,30 @@ class TestSumUniformAsymptotic:
     def test_negative_width_rejected(self):
         with pytest.raises(ValidationError):
             sum_uniform_cdf_asymptotic(1.0, [1.0, -1.0])
+
+    def test_huge_widths_do_not_overflow_to_nan(self):
+        # The fourth-moment sum of two 1e300 widths overflows float
+        # range; the CDF is scale-invariant, so the kernel rescales.
+        approx = sum_uniform_cdf_asymptotic(0.5, [1e300, 1e300])
+        assert math.isfinite(approx.value)
+        assert math.isfinite(approx.error_bound)
+        exact = sum_uniform_cdf(Fraction(1, 2), [Fraction(1e300)] * 2)
+        lo, hi = approx.bracket
+        assert lo <= float(exact) <= hi
+        # Rescaling by a power of two is exact in binary.
+        scale = 2.0**-997
+        unit = sum_uniform_cdf_asymptotic(0.5 * scale, [1e300 * scale] * 2)
+        assert (approx.value, approx.error_bound) == (
+            unit.value,
+            unit.error_bound,
+        )
+
+    def test_tiny_widths_do_not_underflow(self):
+        approx = sum_uniform_cdf_asymptotic(1e-300, [1e-300] * 4)
+        exact = sum_uniform_cdf(Fraction(1e-300), [Fraction(1e-300)] * 4)
+        assert abs(Fraction(approx.value) - exact) <= Fraction(
+            approx.error_bound
+        )
 
 
 class TestAsymptoticQuantile:
@@ -384,6 +408,19 @@ class TestMixtureAgainstExact:
             symmetric_oblivious_winning_regime(-1, 100, 1)
         with pytest.raises(ValidationError):
             symmetric_threshold_winning_regime(Fraction(1, 2), 0, 1)
+
+    def test_capacity_beyond_float_range_is_won(self):
+        # delta >= n: each bin holds a sum of at most n inputs in [0, 1].
+        huge = Fraction(10**400)
+        for regime in (
+            symmetric_threshold_winning_regime,
+            symmetric_oblivious_winning_regime,
+        ):
+            result = regime(Fraction(1, 2), 100, huge)
+            assert (result.value, result.error_bound) == (1.0, 0.0)
+            assert result.exact == 1
+            assert result.bracket == (1.0, 1.0)
+        assert near_optimal_symmetric_threshold(100, huge).value == 1.0
 
 
 class TestWinningProbabilityEntryPoint:

@@ -401,7 +401,7 @@ class TestLargeMSweep:
             except NumericalInstabilityError:
                 continue  # legitimately uncertifiable at this (t, m)
             approx = irwin_hall_cdf_asymptotic(float(t), m)
-            lo, hi = approx.bracket()
+            lo, hi = approx.bracket
             assert lo - 1e-12 <= fast <= hi + 1e-12, (m, t)
 
     @pytest.mark.parametrize("m", [100, 1000, 10000])

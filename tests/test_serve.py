@@ -807,6 +807,23 @@ class TestAsymptoticTier:
                 <= body["probability_ceiling"]
             )
 
+    def test_capacity_beyond_float_range_answers_one(self):
+        # delta >= n is always won; 1e400 must not reach float().
+        with running_server(deadline_ms=5000.0) as (server, _):
+            for query in ("beta=0.5", "algorithm=oblivious&alpha=0.5"):
+                status, _, body = get(
+                    server,
+                    f"/v1/winning-probability?n=100&delta=1e400&{query}",
+                )
+                assert status == 200
+                assert body["value"] == 1.0
+                assert body["floor"] == body["ceiling"] == 1.0
+            status, _, body = get(
+                server, "/v1/optimal-strategy?n=100&delta=1e400"
+            )
+            assert status == 200
+            assert body["probability"] == 1.0
+
     def test_small_n_still_uses_exact_tiers(self):
         with running_server() as (server, _):
             status, _, body = get(

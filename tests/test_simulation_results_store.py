@@ -267,6 +267,56 @@ class TestCrashSafety:
         ]
         assert leftovers == []
 
+    @pytest.mark.parametrize("store", ["sweep", "run-store", "disk-cache"])
+    def test_every_writer_replaces_atomically(
+        self, tmp_path, monkeypatch, store
+    ):
+        # the same crash for every store that writes through
+        # repro.fsutil.atomic_write: the rename fails after the temp
+        # file is written, so the original must survive, with no litter
+        import os
+
+        from repro.cache.disk import DiskCache
+        from repro.observability.runlog import RunStore
+        from repro.observability.runmeta import new_run_context
+
+        if store == "sweep":
+            path = save_sweep(exact_sweep(), tmp_path / "sweep.json")
+
+            def rewrite():
+                save_sweep(simulated_sweep(), path)
+
+        elif store == "run-store":
+            runs = RunStore(tmp_path)
+            context = new_run_context(command="validate", argv=["validate"])
+            path = runs.finalize(context, 0)
+
+            def rewrite():
+                runs.finalize(context, 1)
+
+        else:
+            cache = DiskCache(tmp_path)
+            cache.put("k" * 64, "fingerprint", "kernel", 1)
+            (path,) = tmp_path.iterdir()
+
+            def rewrite():
+                cache.put("k" * 64, "fingerprint", "kernel", 2)
+
+        before = path.read_text()
+
+        def crash(source, target):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        if store == "disk-cache":
+            rewrite()  # the disk tier treats a failed write as a no-op
+        else:
+            with pytest.raises(OSError):
+                rewrite()
+        monkeypatch.undo()
+        assert path.read_text() == before
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
     def test_save_then_load_still_round_trips(self, tmp_path):
         original = simulated_sweep()
         loaded = load_sweep(save_sweep(original, tmp_path / "s.json"))
