@@ -21,6 +21,11 @@ Policy, in order, per call:
    losslessly); a disk hit is promoted into memory;
 5. compute, then populate both tiers.
 
+Every wrapper also carries ``peek``, a memory-tier-only lookup that
+never computes and never touches disk: an event loop can take a
+resident result without leaving the loop, and hand a miss to an
+executor that runs the full wrapper.
+
 The decorator never changes a computed value: hits return the same
 immutable objects (``Fraction`` and friends) the kernel produced, and
 the key bakes in a source-code fingerprint so a formula edit
@@ -34,7 +39,7 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.cache.codec import UnencodableValueError, encode_value
 from repro.cache.disk import DiskCache
@@ -245,6 +250,19 @@ def memoized_kernel(
                     disk.put(key, fingerprint, label, payload)
             return value
 
+        def peek(*args: Any, **kwargs: Any) -> Tuple[bool, Any]:
+            """``(True, value)`` when the result is resident in the
+            memory tier, else ``(False, None)``.  A miss is not
+            counted: the full call that follows it counts it once."""
+            if not cache_enabled():
+                return False, None
+            try:
+                key = cache_key(label, fingerprint, args, kwargs)
+            except UncacheableArgumentError:
+                return False, None
+            return _state.memory.get(key, count_miss=False)
+
+        wrapper.peek = peek
         wrapper.uncached = kernel
         wrapper.cache_label = label
         wrapper.cache_fingerprint = fingerprint

@@ -44,11 +44,19 @@ class LRUCache:
     def maxsize(self) -> int:
         return self._maxsize
 
-    def get(self, key: str) -> Tuple[bool, Optional[Any]]:
-        """``(found, value)`` -- a hit refreshes the entry's recency."""
+    def get(
+        self, key: str, count_miss: bool = True
+    ) -> Tuple[bool, Optional[Any]]:
+        """``(found, value)`` -- a hit refreshes the entry's recency.
+
+        ``count_miss=False`` leaves a miss uncounted, for a lookup
+        whose caller counts it on the full path it falls through to.
+        """
         with self._lock:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
+                if not count_miss:
+                    return False, None
                 self._misses += 1
                 found = False
                 value = None

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -79,8 +80,13 @@ class AsymptoticOptimum:
 
     def __str__(self) -> str:
         lo, hi = self.bracket
+        # six significant digits through Decimal: a capacity beyond
+        # float range must print, not overflow
+        with localcontext() as context:
+            context.prec = 6
+            delta = Decimal(self.delta.numerator) / self.delta.denominator
         return (
-            f"n={self.n}, delta={float(self.delta):g}: "
+            f"n={self.n}, delta={delta:g}: "
             f"beta~={self.beta:.6f}, P in [{lo:.6f}, {hi:.6f}] "
             f"({self.probability.regime}, gap <= {self.gap_bound:.2e})"
         )

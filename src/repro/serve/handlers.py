@@ -12,11 +12,15 @@ families:
 
 Both run the tier ladder of :mod:`repro.serve.degrade`: certified
 float first, exact ``Fraction`` only while budget remains and the
-breaker is closed, degraded-with-bound otherwise.  Concurrent
-winning-probability requests against the same ``(algorithm, n,
-delta)`` curve are **coalesced** into one vectorised
-:meth:`evaluate_with_bound` call (:class:`Coalescer`): under load the
-kernel cost per request collapses to one slot in a numpy batch.
+breaker is closed, degraded-with-bound otherwise.  Winning-probability
+requests that reach the same ``(algorithm, n, delta)`` curve in one
+event-loop iteration are **coalesced** into one vectorised
+:meth:`evaluate_with_bound` call (:class:`Coalescer`); a lone request
+is evaluated on the next loop iteration, with no timer to wait out.
+
+A curve or optimum already resident in the memory cache is taken on
+the loop (the kernels' ``peek``); only a cold one is built off-loop in
+the default executor, under the request's deadline.
 
 The control plane (``/healthz``, ``/readyz``, ``/metrics``) never
 enters admission control -- a saturated data plane must not blind the
@@ -35,7 +39,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 from urllib.parse import parse_qs
 
 from repro.cache import bypass_cache
@@ -83,23 +87,18 @@ class Response:
 class Coalescer:
     """Batch concurrent same-curve point queries into one kernel call.
 
-    Requests targeting the same compiled curve within *window_seconds*
-    of each other (or until *max_batch* accumulate) share a single
-    vectorised ``evaluate_with_bound`` pass; each caller's future
-    resolves to its own ``(value, bound)`` pair.  Points are domain-
-    checked *before* joining a batch, so one malformed request can
-    never fail its coalesced peers.
+    Requests that reach the same compiled curve in one event-loop
+    iteration share a single vectorised ``evaluate_with_bound`` pass,
+    flushed by ``call_soon`` once the iteration's ready callbacks have
+    run (or at once when *max_batch* accumulate); each caller's future
+    resolves to its own ``(value, bound)`` pair.  A lone request waits
+    for no timer.  Points are domain-checked *before* joining a batch,
+    so one malformed request can never fail its coalesced peers.
 
     Counters: ``serve.coalesced_batches`` / ``serve.coalesced_points``.
     """
 
-    def __init__(
-        self,
-        window_seconds: float = 0.002,
-        max_batch: int = 256,
-        instrumentation=None,
-    ):
-        self.window_seconds = window_seconds
+    def __init__(self, max_batch: int = 256, instrumentation=None):
         self.max_batch = max_batch
         self._instr = instrumentation
         self._buckets: Dict[Any, "_Bucket"] = {}
@@ -110,11 +109,8 @@ class Coalescer:
         loop = asyncio.get_running_loop()
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = _Bucket(compiled=compiled)
+            bucket = _Bucket(compiled, loop.call_soon(self._flush, key))
             self._buckets[key] = bucket
-            bucket.timer = loop.call_later(
-                self.window_seconds, self._flush, key
-            )
         future: asyncio.Future = loop.create_future()
         bucket.xs.append(x)
         bucket.futures.append(future)
@@ -126,8 +122,7 @@ class Coalescer:
         bucket = self._buckets.pop(key, None)
         if bucket is None:
             return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
+        bucket.flush.cancel()
         import numpy as np
 
         try:
@@ -154,9 +149,9 @@ class Coalescer:
 @dataclass
 class _Bucket:
     compiled: Any
+    flush: asyncio.Handle
     xs: List[float] = field(default_factory=list)
     futures: List[asyncio.Future] = field(default_factory=list)
-    timer: Optional[asyncio.TimerHandle] = None
 
 
 # ----------------------------------------------------------------------
@@ -216,12 +211,13 @@ async def _compiled_curve_with_budget(
 ):
     """Fetch (or build) the compiled curve inside the deadline budget.
 
-    Warmed curves are memory-tier hits and return immediately.  A cold
-    curve is built off-loop with the remaining budget as timeout;
-    running out returns ``None`` -- the build keeps going in its
-    executor thread and lands in the memo for the client's retry.
-    A ``corrupt`` chaos fault bypasses the cache, forcing the honest
-    post-corruption behaviour: recompute, same answer.
+    A warmed curve is a memory-tier hit, returned on the loop without
+    an executor hop.  A cold curve is built off-loop with the remaining
+    budget as timeout; running out returns ``None`` -- the build keeps
+    going in its executor thread and lands in the memo for the
+    client's retry.  A ``corrupt`` chaos fault bypasses the cache,
+    forcing the honest post-corruption behaviour: recompute, same
+    answer.
     """
     from repro.batch.tables import (
         compiled_oblivious_curve,
@@ -229,21 +225,26 @@ async def _compiled_curve_with_budget(
     )
 
     if algorithm == "oblivious":
-        def build():
-            return compiled_oblivious_curve(delta, n)
+        kernel, args = compiled_oblivious_curve, (delta, n)
     else:
-        def build():
-            return compiled_threshold_curve(n, delta)
+        kernel, args = compiled_threshold_curve, (n, delta)
     if chaos is not None and chaos.kind == "corrupt":
         instr = server.instrumentation
         instr.increment("serve.chaos_corrupt")
         instr.emit(
             "fault", kind="corrupt", index=-1, attempt=0, layer="serve"
         )
-        def build_fresh(inner=build):
+
+        def build():
             with bypass_cache():
-                return inner()
-        build = build_fresh
+                return kernel(*args)
+    else:
+        resident, compiled = kernel.peek(*args)
+        if resident:
+            return compiled
+
+        def build():
+            return kernel(*args)
     loop = asyncio.get_running_loop()
     try:
         return await asyncio.wait_for(
@@ -424,9 +425,11 @@ async def _optimal_strategy(server, query, deadline, chaos) -> Response:
         from repro.optimize.threshold_opt import optimal_symmetric_threshold
 
         started = time.monotonic()
-        optimum = await exact_fallback_with_budget(
-            lambda: optimal_symmetric_threshold(n, delta), deadline
-        )
+        resident, optimum = optimal_symmetric_threshold.peek(n, delta)
+        if not resident:
+            optimum = await exact_fallback_with_budget(
+                lambda: optimal_symmetric_threshold(n, delta), deadline
+            )
         server.breaker.record(
             time.monotonic() - started, optimum is not None
         )

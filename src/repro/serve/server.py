@@ -83,7 +83,6 @@ class ServeConfig:
     breaker_failures: int = 3
     breaker_cooldown_seconds: float = 5.0
     breaker_slow_seconds: float = 0.5
-    coalesce_window_seconds: float = 0.002
     keepalive_seconds: float = 5.0
 
     def __post_init__(self):
@@ -155,10 +154,7 @@ class ReproServer:
             slow_seconds=config.breaker_slow_seconds,
             instrumentation=instrumentation,
         )
-        self.coalescer = Coalescer(
-            window_seconds=config.coalesce_window_seconds,
-            instrumentation=instrumentation,
-        )
+        self.coalescer = Coalescer(instrumentation=instrumentation)
         self._log = log
         self.ready = False
         self.draining = False

@@ -422,6 +422,15 @@ class TestMixtureAgainstExact:
             assert result.bracket == (1.0, 1.0)
         assert near_optimal_symmetric_threshold(100, huge).value == 1.0
 
+    def test_optimum_beyond_float_range_prints(self):
+        # str() formats delta without float(), which overflows here.
+        text = str(near_optimal_symmetric_threshold(100, Fraction(10) ** 400))
+        assert text.startswith("n=100, delta=1.00000e+400: ")
+        assert "P in [1.000000, 1.000000]" in text
+        assert "delta=0.5: " in str(
+            near_optimal_symmetric_threshold(6, Fraction(1, 2))
+        )
+
 
 class TestWinningProbabilityEntryPoint:
     def test_small_system_exact(self):

@@ -24,6 +24,7 @@ real SIGTERM path end to end.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import contextlib
 import http.client
 import json
@@ -221,7 +222,7 @@ class TestCoalescer:
     def test_concurrent_points_share_one_evaluation(self):
         async def scenario():
             compiled = _FakeCompiled()
-            coalescer = Coalescer(window_seconds=0.01)
+            coalescer = Coalescer()
             results = await asyncio.gather(
                 coalescer.evaluate("k", compiled, 0.25),
                 coalescer.evaluate("k", compiled, 0.5),
@@ -235,22 +236,23 @@ class TestCoalescer:
     def test_full_batch_flushes_immediately(self):
         async def scenario():
             compiled = _FakeCompiled()
-            coalescer = Coalescer(window_seconds=60.0, max_batch=2)
+            coalescer = Coalescer(max_batch=2)
             values = await asyncio.gather(
                 coalescer.evaluate("k", compiled, 1.0),
                 coalescer.evaluate("k", compiled, 2.0),
+                coalescer.evaluate("k", compiled, 3.0),
             )
-            # the window is an hour: only the batch-size flush can
-            # have resolved these
-            assert [v for v, _ in values] == [2.0, 4.0]
-            assert compiled.calls == 1
+            # the first two points fill a batch and flush at once; the
+            # third starts a batch of its own
+            assert [v for v, _ in values] == [2.0, 4.0, 6.0]
+            assert compiled.calls == 2
 
         asyncio.run(scenario())
 
     def test_distinct_curves_do_not_share_batches(self):
         async def scenario():
             first, second = _FakeCompiled(), _FakeCompiled()
-            coalescer = Coalescer(window_seconds=0.01)
+            coalescer = Coalescer()
             await asyncio.gather(
                 coalescer.evaluate("a", first, 1.0),
                 coalescer.evaluate("b", second, 1.0),
@@ -259,6 +261,22 @@ class TestCoalescer:
             assert second.calls == 1
 
         asyncio.run(scenario())
+
+    def test_lone_point_waits_for_no_timer(self):
+        class NoTimerLoop(asyncio.SelectorEventLoop):
+            def call_later(self, *args, **kwargs):
+                raise AssertionError("the coalescer armed a timer")
+
+        compiled = _FakeCompiled()
+        loop = NoTimerLoop()
+        try:
+            result = loop.run_until_complete(
+                Coalescer().evaluate("k", compiled, 0.25)
+            )
+        finally:
+            loop.close()
+        assert result == (0.5, 0.0)
+        assert compiled.calls == 1
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +312,14 @@ WARM = ((3, Fraction(1, 2)),)
 
 
 @contextlib.contextmanager
-def running_server(**overrides):
+def running_server(executor=None, **overrides):
     """A live server on a background thread; yields (server, holder).
 
     ``holder["report"]`` carries the ServeReport after shutdown.  The
     loop runs on a non-main thread, so signal handlers are impossible
     and the stop goes through ``stop_threadsafe`` -- the same drain
-    code path SIGTERM takes in the CLI.
+    code path SIGTERM takes in the CLI.  *executor*, when given,
+    becomes the loop's default executor.
     """
     overrides.setdefault("warm", WARM)
     overrides.setdefault("warm_optima", False)
@@ -309,6 +328,8 @@ def running_server(**overrides):
     started = threading.Event()
 
     async def main():
+        if executor is not None:
+            asyncio.get_running_loop().set_default_executor(executor)
         server = ReproServer(config)
         await server.start()
         holder["server"] = server
@@ -357,6 +378,25 @@ def get(server, path, timeout=30.0):
         conn.close()
 
 
+class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
+    """A default executor that counts the work handed to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=2)
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+def memory_lookups():
+    from repro.cache import cache_stats
+
+    stats = cache_stats()["memory"]
+    return stats["hits"], stats["misses"]
+
+
 # ---------------------------------------------------------------------------
 # integration: the data plane is bit-identical to the library
 # ---------------------------------------------------------------------------
@@ -377,12 +417,16 @@ class TestDataPlane:
     def test_winning_probability_bit_identical(self):
         from repro.batch.tables import compiled_threshold_curve
 
-        with running_server() as (server, _):
+        executor = CountingExecutor()
+        with running_server(executor=executor) as (server, _):
+            before = executor.submitted
             status, _, body = get(
                 server,
                 "/v1/winning-probability?n=3&delta=1/2&beta=0.6",
             )
             assert status == 200
+            # a warmed curve is served on the loop
+            assert executor.submitted == before
             compiled = compiled_threshold_curve(3, Fraction(1, 2))
             values, bounds = compiled.evaluate_with_bound(
                 np.array([0.6])
@@ -396,16 +440,21 @@ class TestDataPlane:
     def test_oblivious_algorithm(self):
         from repro.batch.tables import compiled_oblivious_curve
 
-        with running_server() as (server, _):
+        executor = CountingExecutor()
+        with running_server(executor=executor) as (server, _):
+            before = executor.submitted
             status, _, body = get(
                 server,
                 "/v1/winning-probability"
                 "?algorithm=oblivious&n=3&delta=1/2&alpha=0.4",
             )
             assert status == 200
+            assert executor.submitted == before
             compiled = compiled_oblivious_curve(Fraction(1, 2), 3)
-            values, _ = compiled.evaluate_with_bound(np.array([0.4]))
+            values, bounds = compiled.evaluate_with_bound(np.array([0.4]))
             assert body["value"] == float(values[0])
+            assert body["error_bound"] == float(bounds[0])
+            assert body["tier"] == "certified"
             assert body["algorithm"] == "oblivious"
 
     def test_optimal_strategy_exact_tier(self):
@@ -474,6 +523,65 @@ class TestDataPlane:
                 assert conn.getresponse().status == 405
             finally:
                 conn.close()
+
+
+# ---------------------------------------------------------------------------
+# integration: resident curves and optima are served on the loop
+# ---------------------------------------------------------------------------
+
+
+class TestOnLoopCurveFetch:
+    WARM = "/v1/winning-probability?n=3&delta=1/2&beta=0.6"
+    COLD = "/v1/winning-probability?n=2&delta=1/2&beta=0.6"
+
+    def test_warm_optimum_reaches_no_executor(self):
+        from repro.optimize.threshold_opt import optimal_symmetric_threshold
+
+        executor = CountingExecutor()
+        with running_server(
+            executor=executor, warm_optima=True, deadline_ms=10_000.0
+        ) as (server, _):
+            before = executor.submitted
+            _, _, body = get(server, "/v1/optimal-strategy?n=3&delta=1/2")
+            assert executor.submitted == before
+        optimum = optimal_symmetric_threshold(3, Fraction(1, 2))
+        assert body["tier"] == "exact"
+        assert body["beta_exact"] == str(optimum.beta)
+        assert body["probability_exact"] == str(optimum.probability)
+
+    def test_cold_curve_builds_off_loop(self):
+        from repro.batch.tables import compiled_threshold_curve
+
+        executor = CountingExecutor()
+        with running_server(executor=executor, deadline_ms=10_000.0) as (
+            server,
+            _,
+        ):
+            before = executor.submitted
+            status, _, body = get(server, self.COLD)
+            assert status == 200
+            assert executor.submitted == before + 1
+            get(server, self.COLD)  # now resident
+            assert executor.submitted == before + 1
+        values, _ = compiled_threshold_curve(
+            2, Fraction(1, 2)
+        ).evaluate_with_bound(np.array([0.6]))
+        assert body["value"] == float(values[0])
+
+    def test_memory_tier_counts_one_lookup_per_request(self):
+        from repro.batch.tables import threshold_curve_table
+
+        with running_server(deadline_ms=10_000.0) as (server, _):
+            # make the cold curve's exact table resident, so its build
+            # adds exactly one table hit to the count below
+            threshold_curve_table(2, Fraction(1, 2))
+            hits, misses = memory_lookups()
+            get(server, self.WARM)  # warm: one hit
+            assert memory_lookups() == (hits + 1, misses)
+            get(server, self.COLD)  # cold: one miss, plus the table hit
+            assert memory_lookups() == (hits + 2, misses + 1)
+            get(server, self.COLD)  # warm now: one hit
+            assert memory_lookups() == (hits + 3, misses + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -571,15 +679,25 @@ class TestChaosDegradation:
             assert body["error_bound"] > 0
 
     def test_corrupt_cache_fault_recomputes_same_answer(self):
+        from repro.cache import cache_stats
+
+        executor = CountingExecutor()
         with running_server(
+            executor=executor,
             chaos=FaultPlan(
                 {("serve", 1, 0): FaultSpec("corrupt")}
             ),
         ) as (server, _):
             path = "/v1/winning-probability?n=3&delta=1/2&beta=0.6"
+            before = executor.submitted
             status_clean, _, clean = get(server, path)  # seq 0: clean
+            memory = cache_stats()["memory"]
             status_chaos, _, chaos = get(server, path)  # seq 1: corrupt
             assert status_clean == status_chaos == 200
+            # only the corrupt request leaves the loop, and its
+            # recompute neither reads nor writes the memory tier
+            assert executor.submitted == before + 1
+            assert cache_stats()["memory"] == memory
             # the fault forces a cache-bypassing recompute; honesty
             # means the recomputed answer is bit-identical
             assert chaos["value"] == clean["value"]
