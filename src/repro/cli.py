@@ -14,6 +14,11 @@ Commands map one-to-one onto the paper's evaluation artefacts:
   :mod:`repro.validation`).  Disagreement exits with its own code (6)
   so CI can tell an integrity regression from every other failure.
 
+Every subcommand is one entry of the :data:`_COMMANDS` table (name,
+help, the flags it takes, its handler), and every flag meaning is one
+:class:`_Flag` declaration that commands list, overriding only a
+default, required-ness or metavar of their own.
+
 Every subcommand additionally accepts the instrumentation flags
 ``--profile`` (print a metrics/span report to stderr after the run),
 ``--metrics-out PATH`` (write the metrics snapshot as JSONL) and
@@ -54,9 +59,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, List, Mapping, Optional, Tuple
 
 from repro.cache import bypass_cache, configure_cache
 from repro.errors import (
@@ -106,7 +112,8 @@ from repro.simulation.runner import sweep_thresholds
 __all__ = ["main"]
 
 #: Exit codes for predictable failures (0 = success, 1 = validation or
-#: reproduction mismatch, 2 = argparse usage error).
+#: reproduction mismatch, 2 = usage error or rejected argument value).
+EXIT_USAGE = 2
 EXIT_FINGERPRINT_MISMATCH = 3
 EXIT_CHECKPOINT_ERROR = 4
 EXIT_RETRIES_EXHAUSTED = 5
@@ -125,16 +132,41 @@ def _parse_fraction(text: str) -> Fraction:
         ) from exc
 
 
-def _observability_parent() -> argparse.ArgumentParser:
-    """The shared instrumentation and caching flag groups.
+# ---------------------------------------------------------------------------
+# Flags: each meaning declared once
+# ---------------------------------------------------------------------------
 
-    Built as an ``add_help=False`` parent so every subcommand gains the
-    same flags without each declaration being repeated.
+
+@dataclass(frozen=True)
+class _Flag:
+    """One flag meaning: ``add_argument``'s names and keywords, and the
+    help section (argument group) it is listed under.
+
+    A command that takes the flag with its own default, required-ness
+    or metavar lists ``flag.override(...)`` instead of redeclaring it.
     """
-    parent = argparse.ArgumentParser(add_help=False)
-    cache_group = parent.add_argument_group("caching")
-    cache_group.add_argument(
+
+    names: Tuple[str, ...]
+    options: Mapping[str, Any]
+    group: Optional[str] = None
+
+    def override(self, **options: Any) -> "_Flag":
+        return replace(self, options={**self.options, **options})
+
+
+def _flag(*names: str, group: Optional[str] = None, **options: Any) -> _Flag:
+    return _Flag(names, options, group)
+
+
+def _required(flag: _Flag) -> _Flag:
+    return flag.override(required=True, default=None)
+
+
+#: The caching, instrumentation and telemetry flags every subcommand takes.
+_SHARED_FLAGS = (
+    _flag(
         "--cache-dir",
+        group="caching",
         type=Path,
         default=None,
         metavar="DIR",
@@ -144,30 +176,33 @@ def _observability_parent() -> argparse.ArgumentParser:
             "changes); also honours the REPRO_CACHE_DIR environment "
             "variable"
         ),
-    )
-    cache_group.add_argument(
+    ),
+    _flag(
         "--no-cache",
+        group="caching",
         action="store_true",
         help=(
             "disable all memoization for this run (every kernel value "
             "is recomputed from scratch); also honours REPRO_NO_CACHE"
         ),
-    )
-    group = parent.add_argument_group("instrumentation")
-    group.add_argument(
+    ),
+    _flag(
         "--profile",
+        group="instrumentation",
         action="store_true",
         help="collect metrics and spans; print a report to stderr",
-    )
-    group.add_argument(
+    ),
+    _flag(
         "--metrics-out",
+        group="instrumentation",
         type=Path,
         default=None,
         metavar="PATH",
         help="write the metrics snapshot as JSONL (implies --profile)",
-    )
-    group.add_argument(
+    ),
+    _flag(
         "--trace-out",
+        group="instrumentation",
         type=Path,
         default=None,
         metavar="PATH",
@@ -175,28 +210,30 @@ def _observability_parent() -> argparse.ArgumentParser:
             "write spans in Chrome trace-event JSON, loadable in "
             "chrome://tracing or Perfetto (implies --profile)"
         ),
-    )
-    telemetry = parent.add_argument_group("telemetry")
-    telemetry.add_argument(
+    ),
+    _flag(
         "--dashboard",
+        group="telemetry",
         action="store_true",
         help=(
             "show a live progress panel on stderr (redrawn in place on "
             "a TTY, plain log lines otherwise); purely observational -- "
             "results are bit-identical with it on or off"
         ),
-    )
-    telemetry.add_argument(
+    ),
+    _flag(
         "--record-run",
+        group="telemetry",
         action="store_true",
         help=(
             "stream this run's telemetry events to the run-history "
             "store and finalise a summary (inspect with "
             "'repro runs list|show|compare')"
         ),
-    )
-    telemetry.add_argument(
+    ),
+    _flag(
         "--runs-dir",
+        group="telemetry",
         type=Path,
         default=None,
         metavar="DIR",
@@ -204,171 +241,337 @@ def _observability_parent() -> argparse.ArgumentParser:
             "root of the run-history store (default .repro/runs; also "
             "honours the REPRO_RUNS_DIR environment variable)"
         ),
-    )
-    return parent
+    ),
+)
+
+_N = _flag("--n", type=int, default=3)
+_NS = _flag("--ns", type=int, nargs="+", default=[3, 4, 5])
+_DELTA = _flag("--delta", type=_parse_fraction, default=Fraction(1))
+_DELTAS = _flag(
+    "--deltas", type=_parse_fraction, nargs="+", default=[Fraction(1)]
+)
+_TRIALS = _flag("--trials", type=int, default=100_000)
+_SEED = _flag("--seed", type=int, default=0)
+_GRID_SIZE = _flag(
+    "--grid-size",
+    type=int,
+    default=101,
+    help="number of evenly spaced beta points (default %(default)s)",
+)
+_WORKERS = _flag(
+    "--workers",
+    type=int,
+    default=None,
+    help=(
+        "shard the Monte Carlo work across this many worker processes "
+        "(results are identical for any worker count)"
+    ),
+)
+_HOST = _flag("--host", default="127.0.0.1")
+_RUN = _flag(
+    "run",
+    nargs="?",
+    default="latest",
+    help="run id prefix, directory-name prefix, or 'latest'",
+)
+
+_FAULT = "fault tolerance"
+_MAX_RETRIES = _flag(
+    "--max-retries",
+    group=_FAULT,
+    type=int,
+    default=None,
+    metavar="K",
+    help=(
+        "re-run a failed shard up to K times with exponential "
+        "backoff; a retried shard replays its own seed stream, so "
+        "results are identical to a failure-free run"
+    ),
+)
+_SHARD_TIMEOUT = _flag(
+    "--shard-timeout",
+    group=_FAULT,
+    type=float,
+    default=None,
+    metavar="SECONDS",
+    help=(
+        "wall-clock limit per shard attempt; a timed-out shard "
+        "counts against its retry budget"
+    ),
+)
+_CHECKPOINT = _flag(
+    "--checkpoint",
+    group=_FAULT,
+    type=Path,
+    default=None,
+    metavar="PATH",
+    help=(
+        "stream completed shards to a JSONL checkpoint file (atomic "
+        "appends, per-record checksums) that --resume continues from"
+    ),
+)
+_RESUME = _flag(
+    "--resume",
+    group=_FAULT,
+    action="store_true",
+    help=(
+        "load matching shards from --checkpoint before running; "
+        "only missing or corrupt shards are re-executed"
+    ),
+)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Reproduce 'Optimal, Distributed Decision-Making: "
-            "The Case of No Communication' (Georgiades, Mavronicolas & "
-            "Spirakis, FCT 1999)."
+def _fault_tolerance_config(
+    args: argparse.Namespace,
+) -> Optional[FaultToleranceConfig]:
+    """The ``FaultToleranceConfig`` the fault-tolerance flags imply.
+
+    ``None`` when no such flag was given (``validate`` and ``check``),
+    which keeps the historical ``workers=None`` dispatch reachable.
+    ``coordinate``'s ``--max-retries`` defaults to 2, so it always gets
+    a config.  ``--chaos-crash S`` is ``FaultPlan.single("crash",
+    shard=S)``; ``--chaos`` specs go through ``parse_chaos_specs``.
+    """
+    max_retries = getattr(args, "max_retries", None)
+    shard_timeout = getattr(args, "shard_timeout", None)
+    checkpoint = getattr(args, "checkpoint", None)
+    resume = getattr(args, "resume", False)
+    if resume and checkpoint is None:
+        raise ValidationError("--resume requires --checkpoint PATH")
+    fault_plan = None
+    if getattr(args, "chaos_crash", None) is not None:
+        fault_plan = FaultPlan.single("crash", shard=args.chaos_crash)
+    elif getattr(args, "chaos", None):
+        from repro.distributed.chaos import parse_chaos_specs
+
+        fault_plan = parse_chaos_specs(args.chaos)
+    if (
+        max_retries is None
+        and shard_timeout is None
+        and checkpoint is None
+        and fault_plan is None
+    ):
+        return None
+    return FaultToleranceConfig(
+        retry=RetryPolicy(
+            max_retries=0 if max_retries is None else max_retries,
+            shard_timeout=shard_timeout,
         ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    obs = _observability_parent()
-
-    fig1 = sub.add_parser(
-        "figure1",
-        help="winning probability curves, fixed delta",
-        parents=[obs],
-    )
-    fig1.add_argument(
-        "--delta", type=_parse_fraction, default=Fraction(1)
-    )
-    fig1.add_argument(
-        "--ns", type=int, nargs="+", default=[3, 4, 5]
+        fault_plan=fault_plan,
+        checkpoint_path=checkpoint,
+        resume=resume,
     )
 
-    fig2 = sub.add_parser(
-        "figure2",
-        help="winning probability curves, scaled delta = n/3",
-        parents=[obs],
-    )
-    fig2.add_argument(
-        "--ns", type=int, nargs="+", default=[3, 4, 5]
-    )
 
-    case = sub.add_parser(
-        "case",
-        help="a Section 5.2 worked optimisation",
-        parents=[obs],
-    )
-    case.add_argument("--n", type=int, required=True)
-    case.add_argument("--delta", type=_parse_fraction, required=True)
+# ---------------------------------------------------------------------------
+# The command table
+# ---------------------------------------------------------------------------
 
-    uni = sub.add_parser(
-        "uniformity",
-        help="oblivious vs threshold optima across n",
-        parents=[obs],
+
+@dataclass(frozen=True)
+class _Command:
+    """One ``repro`` subcommand: name, help, the flags it takes and its
+    handler -- or, for ``runs`` and ``bench``, its own subcommands.
+
+    ``telemetry`` is False for the store-introspection commands: they
+    read telemetry but never produce it (recording a run of ``repro
+    runs list`` would pollute the very store it lists).
+    """
+
+    name: str
+    help: str
+    flags: Tuple[_Flag, ...] = ()
+    run: Optional[Callable[[argparse.Namespace], int]] = None
+    telemetry: bool = True
+    subcommands: List["_Command"] = field(default_factory=list)
+
+
+#: The command table: every ``repro`` subcommand in ``--help`` order,
+#: filled by :func:`_command` as the handlers below are defined.
+_COMMANDS: List[_Command] = []
+
+
+def _command(
+    name: str,
+    help: str,
+    *flags: _Flag,
+    telemetry: bool = True,
+    parent: Optional[_Command] = None,
+):
+    """Register the decorated handler in the command table (among
+    *parent*'s subcommands when given)."""
+
+    def register(run: Callable[[argparse.Namespace], int]):
+        table = _COMMANDS if parent is None else parent.subcommands
+        table.append(_Command(name, help, flags, run, telemetry))
+        return run
+
+    return register
+
+
+def _group(name: str, help: str) -> _Command:
+    """Register a command that only dispatches to its subcommands (the
+    store-introspection ``runs`` and ``bench``, so no telemetry)."""
+    group = _Command(name, help, telemetry=False)
+    _COMMANDS.append(group)
+    return group
+
+
+@_command("figure1", "winning probability curves, fixed delta", _DELTA, _NS)
+def _run_figure1(args: argparse.Namespace) -> int:
+    series = figure1(ns=args.ns, delta=args.delta)
+    print(
+        render_figure(
+            series,
+            title=f"Figure 1: P(beta), delta = {args.delta}",
+        )
     )
-    uni.add_argument(
-        "--ns", type=int, nargs="+", default=[2, 3, 4, 5, 6, 7, 8]
-    )
-    uni.add_argument(
-        "--delta", type=_parse_fraction, default=Fraction(1)
-    )
-    uni.add_argument(
+    return 0
+
+
+@_command("figure2", "winning probability curves, scaled delta = n/3", _NS)
+def _run_figure2(args: argparse.Namespace) -> int:
+    series = figure2(ns=args.ns)
+    print(render_figure(series, title="Figure 2: P(beta), delta = n/3"))
+    return 0
+
+
+@_command(
+    "case",
+    "a Section 5.2 worked optimisation",
+    _required(_N),
+    _required(_DELTA),
+)
+def _run_case(args: argparse.Namespace) -> int:
+    print(render_case_study(case_study(args.n, args.delta)))
+    return 0
+
+
+@_command(
+    "uniformity",
+    "oblivious vs threshold optima across n",
+    _NS.override(default=[2, 3, 4, 5, 6, 7, 8]),
+    _DELTA,
+    _flag(
         "--scaled",
         action="store_true",
         help="use delta = n/3 instead of a fixed delta",
+    ),
+)
+def _run_uniformity(args: argparse.Namespace) -> int:
+    delta_of_n = (
+        (lambda n: Fraction(n, 3)) if args.scaled
+        else (lambda n: args.delta)
     )
+    print(
+        render_uniformity_table(
+            uniformity_table(ns=args.ns, delta_of_n=delta_of_n)
+        )
+    )
+    return 0
 
-    trade = sub.add_parser(
-        "tradeoff",
-        help="fair coin vs threshold vs centralized",
-        parents=[obs],
-    )
-    trade.add_argument(
-        "--ns", type=int, nargs="+", default=[2, 3, 4, 5, 6]
-    )
-    trade.add_argument(
-        "--delta", type=_parse_fraction, default=Fraction(1)
-    )
-    trade.add_argument("--trials", type=int, default=100_000)
-    trade.add_argument("--seed", type=int, default=0)
 
-    everything = sub.add_parser(
-        "all",
-        help="run every headline check and print the reproduction report",
-        parents=[obs],
+@_command(
+    "tradeoff",
+    "fair coin vs threshold vs centralized",
+    _NS.override(default=[2, 3, 4, 5, 6]),
+    _DELTA,
+    _TRIALS,
+    _SEED,
+)
+def _run_tradeoff(args: argparse.Namespace) -> int:
+    rows = tradeoff_table(
+        ns=args.ns,
+        delta_of_n=lambda n: args.delta,
+        trials=args.trials,
+        seed=args.seed,
     )
-    everything.add_argument(
+    print(render_tradeoff_table(rows))
+    return 0
+
+
+@_command(
+    "all",
+    "run every headline check and print the reproduction report",
+    _flag(
         "--exact-only",
         action="store_true",
         help="skip the Monte Carlo checks (seconds instead of minutes)",
-    )
-    everything.add_argument("--trials", type=int, default=60_000)
+    ),
+    _TRIALS.override(default=60_000),
+)
+def _run_all(args: argparse.Namespace) -> int:
+    from repro.experiments.summary import reproduce_all
 
-    mixture = sub.add_parser(
-        "mixture",
-        help="the oblivious/non-oblivious continuum (extension E8)",
-        parents=[obs],
+    report = reproduce_all(
+        monte_carlo_trials=None if args.exact_only else args.trials
     )
-    mixture.add_argument("--n", type=int, required=True)
-    mixture.add_argument("--delta", type=_parse_fraction, required=True)
+    print(report.render())
+    return 0 if report.passed else 1
 
-    export = sub.add_parser(
-        "export",
-        help="write all experiment records as CSV + manifest.json",
-        parents=[obs],
-    )
-    export.add_argument("--out", default="results")
-    export.add_argument("--grid-size", type=int, default=101)
 
-    val = sub.add_parser(
-        "validate",
-        help="Monte Carlo validation of the exact threshold curve",
-        parents=[obs],
+@_command(
+    "mixture",
+    "the oblivious/non-oblivious continuum (extension E8)",
+    _required(_N),
+    _required(_DELTA),
+)
+def _run_mixture(args: argparse.Namespace) -> int:
+    from repro.core.randomized import (
+        best_symmetric_mixture_exact,
+        symmetric_mixture_polynomial,
     )
-    val.add_argument("--n", type=int, default=3)
-    val.add_argument("--delta", type=_parse_fraction, default=Fraction(1))
-    val.add_argument("--grid-size", type=int, default=11)
-    val.add_argument("--trials", type=int, default=100_000)
-    val.add_argument("--seed", type=int, default=0)
-    val.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "shard each grid point across this many worker processes "
-            "(results are identical for any worker count)"
-        ),
+    from repro.optimize.threshold_opt import (
+        optimal_symmetric_threshold,
     )
-    fault = val.add_argument_group("fault tolerance")
-    fault.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "re-run a failed shard up to K times with exponential "
-            "backoff; a retried shard replays its own seed stream, so "
-            "results are identical to a failure-free run"
-        ),
+
+    beta = optimal_symmetric_threshold(args.n, args.delta).beta
+    p_star, value = best_symmetric_mixture_exact(
+        args.n, args.delta, beta
     )
-    fault.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "wall-clock limit per shard attempt; a timed-out shard "
-            "counts against its retry budget"
-        ),
-    )
-    fault.add_argument(
-        "--checkpoint",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "stream completed shards to a JSONL checkpoint file "
-            "(atomic appends, per-record checksums)"
-        ),
-    )
-    fault.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "load matching shards from --checkpoint before running; "
-            "only missing or corrupt shards are re-executed"
-        ),
-    )
-    fault.add_argument(
+    poly = symmetric_mixture_polynomial(beta, args.n, args.delta)
+    print(f"n = {args.n}, delta = {args.delta}, beta* fixed at "
+          f"{float(beta):.6f}")
+    print(f"P(coin,  p=0) = {float(poly(0)):.6f}")
+    print(f"P(thresh,p=1) = {float(poly(1)):.6f}")
+    print(f"P(best mixture) = {float(value):.6f} at p* = "
+          f"{float(p_star):.6f}")
+    if 0 < p_star < 1:
+        print("interior mixture beats BOTH pure families")
+    return 0
+
+
+@_command(
+    "export",
+    "write all experiment records as CSV + manifest.json",
+    _flag("--out", default="results"),
+    _GRID_SIZE,
+)
+def _run_export(args: argparse.Namespace) -> int:
+    from repro.experiments.export import export_all
+
+    manifest = export_all(args.out, grid_size=args.grid_size)
+    print(f"wrote {', '.join(manifest['files'].values())} and "
+          f"manifest.json to {args.out}/")
+    return 0
+
+
+@_command(
+    "validate",
+    "Monte Carlo validation of the exact threshold curve",
+    _N,
+    _DELTA,
+    _GRID_SIZE.override(default=11),
+    _TRIALS,
+    _SEED,
+    _WORKERS,
+    _MAX_RETRIES,
+    _SHARD_TIMEOUT,
+    _CHECKPOINT,
+    _RESUME,
+    _flag(
         "--chaos-crash",
+        group=_FAULT,
         type=int,
         default=None,
         metavar="SHARD",
@@ -378,22 +581,42 @@ def _build_parser() -> argparse.ArgumentParser:
             ">= 1 to exercise recovery; the output must be identical "
             "to a clean run)"
         ),
+    ),
+)
+def _run_validate(args: argparse.Namespace) -> int:
+    result = sweep_thresholds(
+        args.n,
+        args.delta,
+        grid_size=args.grid_size,
+        simulate=True,
+        trials=args.trials,
+        seed=args.seed,
+        workers=args.workers,
+        fault_tolerance=_fault_tolerance_config(args),
     )
+    for point in result.points:
+        status = "ok" if point.consistent else "MISMATCH"
+        print(
+            f"beta={float(point.parameter):.3f}  "
+            f"exact={float(point.exact):.6f}  "
+            f"simulated={point.simulated:.6f}  [{status}]"
+        )
+    # all_consistent() is None when nothing simulated -- that is a
+    # failed validation too, not a vacuous pass.
+    if result.all_consistent() is not True:
+        print("VALIDATION FAILED", file=sys.stderr)
+        return 1
+    print(f"all {len(result.points)} grid points consistent")
+    return 0
 
-    swp = sub.add_parser(
-        "sweep",
-        help="evaluate the threshold curve on a beta grid (exact or batched)",
-        parents=[obs],
-    )
-    swp.add_argument("--n", type=int, default=3)
-    swp.add_argument("--delta", type=_parse_fraction, default=Fraction(1))
-    swp.add_argument(
-        "--grid-size",
-        type=int,
-        default=1001,
-        help="number of evenly spaced beta points (default 1001)",
-    )
-    swp.add_argument(
+
+@_command(
+    "sweep",
+    "evaluate the threshold curve on a beta grid (exact or batched)",
+    _N,
+    _DELTA,
+    _GRID_SIZE.override(default=1001),
+    _flag(
         "--batch",
         action="store_true",
         help=(
@@ -401,744 +624,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "one compiled evaluation of the whole grid, every point "
             "certified or exact-fallback (see docs/architecture.md)"
         ),
-    )
-
-    check = sub.add_parser(
-        "check",
-        help="cross-validate analytic formulas, MC and bounds",
-        parents=[obs],
-    )
-    check.add_argument(
-        "--ns", type=int, nargs="+", default=[2, 3, 4]
-    )
-    check.add_argument(
-        "--deltas",
-        type=_parse_fraction,
-        nargs="+",
-        default=[Fraction(1)],
-    )
-    check.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=["oblivious", "threshold"],
-        choices=["oblivious", "threshold"],
-    )
-    check.add_argument("--trials", type=int, default=20_000)
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard the Monte Carlo route across worker processes",
-    )
-    check.add_argument(
-        "--z-threshold",
-        type=float,
-        default=3.89,
-        help="maximum tolerated |z| of the MC estimate (default 3.89)",
-    )
-    check.add_argument(
-        "--strict",
-        action="store_true",
-        help=(
-            "run contracts in strict mode: the first violated "
-            "invariant aborts with exit code 6 instead of only being "
-            "counted"
-        ),
-    )
-    check.add_argument(
-        "--report-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the machine-readable agreement report as JSON",
-    )
-    check.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="K",
-        help="retry budget per MC shard (implies sharded execution)",
-    )
-    check.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock limit per MC shard attempt",
-    )
-    check.add_argument(
-        "--batch-grid",
-        type=int,
-        default=0,
-        metavar="SIZE",
-        help=(
-            "also run the batch-vs-exact agreement grid with SIZE "
-            "uniform beta points per case (plus every breakpoint and "
-            "its float neighbours); disagreement exits with code 6 "
-            "like any other integrity failure (0 = skip, the default)"
-        ),
-    )
-    check.add_argument(
-        "--inject-analytic-error",
-        type=float,
-        default=0.0,
-        metavar="EPS",
-        help=(
-            "add EPS to every analytic value before the MC comparison "
-            "-- a deliberate bug injection proving the oracle can fail"
-        ),
-    )
-    check.add_argument(
-        "--asymptotic-grid",
-        action="store_true",
-        help=(
-            "also force the asymptotic tier through the exact-vs-"
-            "asymptotic crossover grid (n ~ 10-20): estimates must "
-            "stay within their certified bounds of the exact values "
-            "and within the MC z-gate; failure exits with code 6"
-        ),
-    )
-    check.add_argument(
-        "--asymptotic-ns",
-        type=int,
-        nargs="+",
-        default=[10, 12, 14, 16, 18, 20],
-        metavar="N",
-        help="crossover sizes for --asymptotic-grid",
-    )
-    check.add_argument(
-        "--inject-asymptotic-error",
-        type=float,
-        default=0.0,
-        metavar="EPS",
-        help=(
-            "add EPS to every asymptotic estimate in the "
-            "--asymptotic-grid comparison -- the deliberate bug "
-            "injection proving that gate can fail"
-        ),
-    )
-
-    asym = sub.add_parser(
-        "asymptotic",
-        help=(
-            "large-n winning probability and near-optimal threshold "
-            "via the certified asymptotic tier"
-        ),
-        parents=[obs],
-    )
-    asym.add_argument("--n", type=int, required=True)
-    asym.add_argument("--delta", type=_parse_fraction, required=True)
-    asym.add_argument(
-        "--beta",
-        type=_parse_fraction,
-        default=None,
-        help=(
-            "evaluate this common threshold (omit to search for a "
-            "near-optimal one)"
-        ),
-    )
-    asym.add_argument(
-        "--alpha",
-        type=_parse_fraction,
-        default=None,
-        help="evaluate the symmetric oblivious coin with this alpha",
-    )
-    asym.add_argument(
-        "--method",
-        choices=["normal", "edgeworth"],
-        default="edgeworth",
-        help="asymptotic estimator (default edgeworth)",
-    )
-    asym.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the result as one JSON object",
-    )
-
-    cache = sub.add_parser(
-        "cache",
-        help="inspect, clear or warm the exact-kernel memoization cache",
-        parents=[obs],
-    )
-    cache.add_argument(
-        "action",
-        choices=["stats", "clear", "warm", "prune"],
-        help=(
-            "stats: print tier statistics as JSON; clear: drop every "
-            "entry; warm: precompute the standard sweep grids into the "
-            "persistent tier (requires --cache-dir or REPRO_CACHE_DIR); "
-            "prune: evict oldest entries until the tier fits "
-            "--max-bytes"
-        ),
-    )
-    cache.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "size bound for the persistent tier: prune evicts "
-            "oldest-first down to this total (required for prune; with "
-            "other actions, installs the bound for this run so every "
-            "write prunes automatically)"
-        ),
-    )
-    cache.add_argument(
-        "--ns", type=int, nargs="+", default=[2, 3, 4, 5]
-    )
-    cache.add_argument(
-        "--deltas",
-        type=_parse_fraction,
-        nargs="+",
-        default=[Fraction(1)],
-    )
-    cache.add_argument(
-        "--grid-size",
-        type=int,
-        default=101,
-        help="beta grid resolution used by warm (default 101)",
-    )
-
-    runs = sub.add_parser(
-        "runs",
-        help="inspect the run-history store written by --record-run",
-        parents=[obs],
-    )
-    runs_sub = runs.add_subparsers(dest="runs_command", required=True)
-    runs_sub.add_parser(
-        "list", help="one line per recorded run, oldest first"
-    )
-    runs_show = runs_sub.add_parser(
-        "show", help="identity, timing and counters of one run"
-    )
-    runs_show.add_argument(
-        "run",
-        nargs="?",
-        default="latest",
-        help="run id prefix, directory-name prefix, or 'latest'",
-    )
-    runs_cmp = runs_sub.add_parser(
-        "compare", help="counter-by-counter diff of two recorded runs"
-    )
-    runs_cmp.add_argument("left", help="baseline run reference")
-    runs_cmp.add_argument(
-        "right",
-        nargs="?",
-        default="latest",
-        help="candidate run reference (default: latest)",
-    )
-    runs_cmp.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="hide counters with a zero delta",
-    )
-    runs_prune = runs_sub.add_parser(
-        "prune", help="delete the oldest recorded runs"
-    )
-    runs_prune.add_argument(
-        "--keep",
-        type=int,
-        required=True,
-        metavar="N",
-        help="number of most recent runs to keep",
-    )
-
-    report = sub.add_parser(
-        "report",
-        help="render a recorded run as a self-contained HTML report",
-        parents=[obs],
-    )
-    report.add_argument(
-        "run",
-        nargs="?",
-        default="latest",
-        help="run id prefix or 'latest'",
-    )
-    report.add_argument(
-        "--html",
-        type=Path,
-        required=True,
-        metavar="PATH",
-        help=(
-            "write the report here (single file, inline CSS and SVG, "
-            "no external references)"
-        ),
-    )
-    report.add_argument(
-        "--bench-root",
-        type=Path,
-        default=Path("."),
-        metavar="DIR",
-        help=(
-            "directory holding the BENCH_*.json lineage rendered as "
-            "sparklines (default: current directory)"
-        ),
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="perf-regression gate over committed BENCH_*.json artifacts",
-        parents=[obs],
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_cmp = bench_sub.add_parser(
-        "compare",
-        help=(
-            "gate CANDIDATE against BASELINE (or BASELINE against its "
-            "own committed floor); exits 7 on regression"
-        ),
-    )
-    bench_cmp.add_argument(
-        "baseline", type=Path, help="baseline BENCH_*.json artifact"
-    )
-    bench_cmp.add_argument(
-        "candidate",
-        type=Path,
-        nargs="?",
-        default=None,
-        help=(
-            "candidate artifact to gate (default: re-check the "
-            "baseline's own floor)"
-        ),
-    )
-    bench_cmp.add_argument(
-        "--min-ratio",
-        type=float,
-        default=0.5,
-        metavar="R",
-        help=(
-            "minimum fraction of every baseline speedup the candidate "
-            "must retain (default 0.5)"
-        ),
-    )
-    bench_cmp.add_argument(
-        "--max-ratio",
-        type=float,
-        default=2.0,
-        metavar="R",
-        help=(
-            "maximum multiple of every baseline *_seconds (and the "
-            "fallback-rate ceiling) the candidate may reach "
-            "(default 2.0)"
-        ),
-    )
-
-    serve = sub.add_parser(
-        "serve",
-        help=(
-            "answer winning-probability / optimal-strategy queries over "
-            "HTTP with admission control, deadline budgets and graceful "
-            "degradation"
-        ),
-        parents=[obs],
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8080,
-        help="TCP port to listen on (0: pick a free port; default 8080)",
-    )
-    serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=8,
-        metavar="K",
-        help="requests executing concurrently (default 8)",
-    )
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=16,
-        metavar="K",
-        help=(
-            "requests allowed to wait for a slot; arrivals beyond it "
-            "are shed with 429 (default 16)"
-        ),
-    )
-    serve.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=250.0,
-        metavar="MS",
-        help=(
-            "per-request budget propagated into the kernel tiers; the "
-            "exact fallback only runs while budget remains (default 250)"
-        ),
-    )
-    serve.add_argument(
-        "--drain-seconds",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help=(
-            "on SIGTERM/SIGINT, how long in-flight requests may finish "
-            "before stragglers are aborted (default 5)"
-        ),
-    )
-    serve.add_argument(
-        "--warm",
-        action="append",
-        default=[],
-        metavar="N:DELTA",
-        help=(
-            "warm this (n, delta) pair's tables and optimum before "
-            "/readyz flips (repeatable; default 2:1/2 3:1/2 4:1/2)"
-        ),
-    )
-    serve.add_argument(
-        "--no-warm-optima",
-        action="store_true",
-        help="warm compiled curves only, skip pre-solving exact optima",
-    )
-    serve.add_argument(
-        "--max-n",
-        type=int,
-        default=32,
-        help="largest n this server will answer for (default 32)",
-    )
-    serve.add_argument(
-        "--breaker-failures",
-        type=int,
-        default=3,
-        metavar="K",
-        help=(
-            "consecutive slow/failed exact fallbacks that trip the "
-            "circuit breaker open (default 3)"
-        ),
-    )
-    serve.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="open-state cooldown before a half-open probe (default 5)",
-    )
-    serve.add_argument(
-        "--chaos",
-        action="append",
-        default=[],
-        metavar="KIND:REQUEST[:SECONDS]",
-        help=(
-            "inject one deterministic fault on that request sequence "
-            "number: slow/hang burn kernel budget (degraded-but-bounded "
-            "answer), corrupt forces a cache-bypassing recompute, delay "
-            "stalls the response, drop/partition sever the connection; "
-            "repeatable; never produces a 500"
-        ),
-    )
-
-    coord = sub.add_parser(
-        "coordinate",
-        help=(
-            "serve shard leases to `repro work` processes over TCP; "
-            "bit-identical to serial under any fault"
-        ),
-        parents=[obs],
-    )
-    coord.add_argument("--n", type=int, default=3)
-    coord.add_argument("--delta", type=_parse_fraction, default=Fraction(1))
-    coord.add_argument(
-        "--beta",
-        type=_parse_fraction,
-        default=Fraction(3, 5),
-        help="the symmetric threshold every player uses (default 3/5)",
-    )
-    coord.add_argument("--trials", type=int, default=100_000)
-    coord.add_argument("--seed", type=int, default=0)
-    coord.add_argument("--shards", type=int, default=None)
-    coord.add_argument("--host", default="127.0.0.1")
-    coord.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port to listen on (default 0: pick a free port)",
-    )
-    coord.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=30.0,
-        help=(
-            "how long a granted shard may stay unreported before it "
-            "is reassigned (default 30)"
-        ),
-    )
-    coord.add_argument(
-        "--wait-for-workers",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help=(
-            "how long to wait for a first worker before degrading to "
-            "local execution (default 10)"
-        ),
-    )
-    coord.add_argument(
-        "--idle-grace",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help=(
-            "how long to wait after the last worker disconnects "
-            "before finishing locally (default 2)"
-        ),
-    )
-    coord.add_argument(
-        "--max-phase-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "hard budget for the distributed phase; on expiry the "
-            "remaining shards run locally (default: unbounded)"
-        ),
-    )
-    coord.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="K",
-        help=(
-            "retry budget for the local-salvage path (default 2)"
-        ),
-    )
-    coord.add_argument(
-        "--chaos",
-        action="append",
-        default=[],
-        metavar="KIND:SHARD[:SECONDS]",
-        help=(
-            "inject one deterministic fault at attempt 0 of SHARD; "
-            "KIND is crash/hang/slow/corrupt (compute layer) or "
-            "drop/delay/partition/dup (frame layer); repeatable; the "
-            "output must be identical to a clean run"
-        ),
-    )
-    coord.add_argument(
-        "--checkpoint",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "stream completed shards to a JSONL checkpoint file; "
-            "finalized even when the run is interrupted by "
-            "SIGTERM/SIGINT, so --resume continues where the signal "
-            "landed"
-        ),
-    )
-    coord.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "load matching shards from --checkpoint before serving "
-            "leases; only missing shards are granted"
-        ),
-    )
-    coord.add_argument(
-        "--distributed-smoke",
-        type=int,
-        default=None,
-        metavar="W",
-        help=(
-            "self-test: spawn W local `repro work` subprocesses, run "
-            "the estimate through them, then verify the result is "
-            "bit-identical to the serial engine (exit 1 on mismatch)"
-        ),
-    )
-
-    work = sub.add_parser(
-        "work",
-        help="serve one coordinator as a lease-holding worker",
-        parents=[obs],
-    )
-    work.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="the coordinator's address (from `repro coordinate`)",
-    )
-    work.add_argument(
-        "--worker-id",
-        default=None,
-        help="identity shown in coordinator telemetry (default: pid)",
-    )
-    work.add_argument(
-        "--connect-retries",
-        type=int,
-        default=40,
-        metavar="K",
-        help=(
-            "connection attempts before giving up (jittered backoff "
-            "between attempts; default 40)"
-        ),
-    )
-    work.add_argument(
-        "--frame-timeout",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="per-frame read/write timeout (default 60)",
-    )
-
-    return parser
-
-
-def _fault_tolerance_config(
-    args: argparse.Namespace,
-) -> Optional[FaultToleranceConfig]:
-    """The ``FaultToleranceConfig`` implied by the validate flags
-    (``None`` when no fault-tolerance flag was given, keeping the
-    historical serial/sharded dispatch untouched)."""
-    if (
-        args.max_retries is None
-        and args.shard_timeout is None
-        and args.checkpoint is None
-        and not args.resume
-        and args.chaos_crash is None
-    ):
-        return None
-    fault_plan = None
-    if args.chaos_crash is not None:
-        fault_plan = FaultPlan.single("crash", shard=args.chaos_crash)
-    return FaultToleranceConfig(
-        retry=RetryPolicy(
-            max_retries=0 if args.max_retries is None else args.max_retries,
-            shard_timeout=args.shard_timeout,
-        ),
-        fault_plan=fault_plan,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
-    )
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    """Run one subcommand; returns its exit code.
-
-    Pure command logic: instrumentation setup/teardown lives in
-    :func:`main` so every command is profiled the same way.
-    """
-    if args.command == "figure1":
-        series = figure1(ns=args.ns, delta=args.delta)
-        print(
-            render_figure(
-                series,
-                title=f"Figure 1: P(beta), delta = {args.delta}",
-            )
-        )
-    elif args.command == "figure2":
-        series = figure2(ns=args.ns)
-        print(render_figure(series, title="Figure 2: P(beta), delta = n/3"))
-    elif args.command == "case":
-        print(render_case_study(case_study(args.n, args.delta)))
-    elif args.command == "uniformity":
-        delta_of_n = (
-            (lambda n: Fraction(n, 3)) if args.scaled
-            else (lambda n: args.delta)
-        )
-        print(
-            render_uniformity_table(
-                uniformity_table(ns=args.ns, delta_of_n=delta_of_n)
-            )
-        )
-    elif args.command == "tradeoff":
-        rows = tradeoff_table(
-            ns=args.ns,
-            delta_of_n=lambda n: args.delta,
-            trials=args.trials,
-            seed=args.seed,
-        )
-        print(render_tradeoff_table(rows))
-    elif args.command == "all":
-        from repro.experiments.summary import reproduce_all
-
-        report = reproduce_all(
-            monte_carlo_trials=None if args.exact_only else args.trials
-        )
-        print(report.render())
-        if not report.passed:
-            return 1
-    elif args.command == "mixture":
-        from repro.core.randomized import (
-            best_symmetric_mixture_exact,
-            symmetric_mixture_polynomial,
-        )
-        from repro.optimize.threshold_opt import (
-            optimal_symmetric_threshold,
-        )
-
-        beta = optimal_symmetric_threshold(args.n, args.delta).beta
-        p_star, value = best_symmetric_mixture_exact(
-            args.n, args.delta, beta
-        )
-        poly = symmetric_mixture_polynomial(beta, args.n, args.delta)
-        print(f"n = {args.n}, delta = {args.delta}, beta* fixed at "
-              f"{float(beta):.6f}")
-        print(f"P(coin,  p=0) = {float(poly(0)):.6f}")
-        print(f"P(thresh,p=1) = {float(poly(1)):.6f}")
-        print(f"P(best mixture) = {float(value):.6f} at p* = "
-              f"{float(p_star):.6f}")
-        if 0 < p_star < 1:
-            print("interior mixture beats BOTH pure families")
-    elif args.command == "export":
-        from repro.experiments.export import export_all
-
-        manifest = export_all(args.out, grid_size=args.grid_size)
-        print(f"wrote {', '.join(manifest['files'].values())} and "
-              f"manifest.json to {args.out}/")
-    elif args.command == "validate":
-        if args.resume and args.checkpoint is None:
-            print(
-                "repro validate: --resume requires --checkpoint PATH",
-                file=sys.stderr,
-            )
-            return 2
-        result = sweep_thresholds(
-            args.n,
-            args.delta,
-            grid_size=args.grid_size,
-            simulate=True,
-            trials=args.trials,
-            seed=args.seed,
-            workers=args.workers,
-            fault_tolerance=_fault_tolerance_config(args),
-        )
-        for point in result.points:
-            status = "ok" if point.consistent else "MISMATCH"
-            print(
-                f"beta={float(point.parameter):.3f}  "
-                f"exact={float(point.exact):.6f}  "
-                f"simulated={point.simulated:.6f}  [{status}]"
-            )
-        # all_consistent() is None when nothing simulated -- that is a
-        # failed validation too, not a vacuous pass.
-        if result.all_consistent() is not True:
-            print("VALIDATION FAILED", file=sys.stderr)
-            return 1
-        print(f"all {len(result.points)} grid points consistent")
-    elif args.command == "sweep":
-        return _run_sweep(args)
-    elif args.command == "check":
-        return _run_check(args)
-    elif args.command == "asymptotic":
-        return _run_asymptotic(args)
-    elif args.command == "cache":
-        return _run_cache(args)
-    elif args.command == "runs":
-        return _run_runs(args)
-    elif args.command == "report":
-        return _run_report(args)
-    elif args.command == "bench":
-        return _run_bench(args)
-    elif args.command == "serve":
-        return _run_serve(args)
-    elif args.command == "coordinate":
-        return _run_coordinate(args)
-    elif args.command == "work":
-        return _run_work(args)
-    return 0
-
-
+    ),
+)
 def _run_sweep(args: argparse.Namespace) -> int:
     """``repro sweep``: one beta-grid sweep, exact or batched."""
     import time
@@ -1170,162 +657,102 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_cache(args: argparse.Namespace) -> int:
-    """``repro cache stats|clear|warm|prune``."""
-    import json
-
-    from repro.cache import cache_stats, clear_cache, configure_cache
-
-    if args.max_bytes is not None:
-        configure_cache(max_bytes=args.max_bytes)
-    if args.action == "prune":
-        if args.max_bytes is None:
-            print(
-                "repro cache prune: --max-bytes BYTES is required",
-                file=sys.stderr,
-            )
-            return 2
-        stats = cache_stats()
-        if stats["disk"] is None:
-            print(
-                "repro cache prune: no persistent tier configured "
-                "(pass --cache-dir DIR or set REPRO_CACHE_DIR)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.cache import prune_disk_cache
-
-        evicted = prune_disk_cache(args.max_bytes)
-        after = cache_stats()["disk"]
-        print(
-            f"evicted {evicted} entr(ies); persistent tier now holds "
-            f"{after['entries']} entries / {after['total_bytes']} bytes "
-            f"in {after['directory']}"
-        )
-        return 0
-    if args.action == "stats":
-        print(json.dumps(cache_stats(), indent=2, sort_keys=True))
-        return 0
-    if args.action == "clear":
-        removed = clear_cache()
-        print(
-            f"cleared {removed['memory']} memory and "
-            f"{removed['disk']} disk entries"
-        )
-        return 0
-    # warm: precompute the standard sweep grids so later runs start hot.
-    stats = cache_stats()
-    if stats["disk"] is None:
-        print(
-            "repro cache warm: no persistent tier configured "
-            "(pass --cache-dir DIR or set REPRO_CACHE_DIR)",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.core.nonoblivious import (
-        symmetric_threshold_winning_probability,
-    )
-    from repro.core.oblivious import (
-        optimal_oblivious_winning_probability,
-    )
-
-    kernel_calls = 0
-    for n in args.ns:
-        for delta in args.deltas:
-            optimal_oblivious_winning_probability(delta, n)
-            kernel_calls += 1
-            for i in range(args.grid_size):
-                beta = Fraction(i, max(args.grid_size - 1, 1))
-                symmetric_threshold_winning_probability(beta, n, delta)
-                kernel_calls += 1
-    after = cache_stats()["disk"]
-    print(
-        f"warmed {kernel_calls} kernel evaluations; persistent tier "
-        f"now holds {after['entries']} entries in {after['directory']}"
-    )
-    return 0
-
-
-def _run_asymptotic(args: argparse.Namespace) -> int:
-    """``repro asymptotic``: certified large-n values in milliseconds."""
-    import json as _json
-    import time
-
-    from repro.core.asymptotic import (
-        symmetric_oblivious_winning_regime,
-        symmetric_threshold_winning_regime,
-    )
-    from repro.optimize.asymptotic_opt import (
-        near_optimal_symmetric_threshold,
-    )
-    from repro.probability.regimes import RegimePolicy
-
-    if args.alpha is not None and args.beta is not None:
-        print("choose --alpha or --beta, not both", file=sys.stderr)
-        return 2
-    policy = RegimePolicy(method=args.method)
-    start = time.perf_counter()
-    payload: dict
-    if args.alpha is not None:
-        result = symmetric_oblivious_winning_regime(
-            args.alpha, args.n, args.delta, policy
-        )
-        payload = {
-            "family": "oblivious",
-            "n": args.n,
-            "delta": str(args.delta),
-            "alpha": str(args.alpha),
-            **result.fields(),
-        }
-    elif args.beta is not None:
-        result = symmetric_threshold_winning_regime(
-            args.beta, args.n, args.delta, policy
-        )
-        payload = {
-            "family": "threshold",
-            "n": args.n,
-            "delta": str(args.delta),
-            "beta": str(args.beta),
-            **result.fields(),
-        }
-    else:
-        optimum = near_optimal_symmetric_threshold(
-            args.n, args.delta, policy
-        )
-        payload = {
-            "family": "threshold-optimum",
-            "n": args.n,
-            "delta": str(args.delta),
-            "beta": optimum.beta,
-            **optimum.probability.fields(
-                gap_bound=optimum.gap_bound,
-                evaluations=optimum.evaluations,
-            ),
-        }
-    payload["elapsed_seconds"] = time.perf_counter() - start
-    if args.json:
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-    return 0
-
-
+@_command(
+    "check",
+    "cross-validate analytic formulas, MC and bounds",
+    _NS.override(default=[2, 3, 4]),
+    _DELTAS,
+    _flag(
+        "--algorithms",
+        nargs="+",
+        default=["oblivious", "threshold"],
+        choices=["oblivious", "threshold"],
+    ),
+    _TRIALS.override(default=20_000),
+    _SEED,
+    _WORKERS,
+    _flag(
+        "--z-threshold",
+        type=float,
+        default=3.89,
+        help="maximum tolerated |z| of the MC estimate (default 3.89)",
+    ),
+    _flag(
+        "--strict",
+        action="store_true",
+        help=(
+            "run contracts in strict mode: the first violated "
+            "invariant aborts with exit code 6 instead of only being "
+            "counted"
+        ),
+    ),
+    _flag(
+        "--report-out",
+        type=Path,
+        default=None,
+        metavar="PATH",
+        help="write the machine-readable agreement report as JSON",
+    ),
+    _MAX_RETRIES,
+    _SHARD_TIMEOUT,
+    _flag(
+        "--batch-grid",
+        type=int,
+        default=0,
+        metavar="SIZE",
+        help=(
+            "also run the batch-vs-exact agreement grid with SIZE "
+            "uniform beta points per case (plus every breakpoint and "
+            "its float neighbours); disagreement exits with code 6 "
+            "like any other integrity failure (0 = skip, the default)"
+        ),
+    ),
+    _flag(
+        "--inject-analytic-error",
+        type=float,
+        default=0.0,
+        metavar="EPS",
+        help=(
+            "add EPS to every analytic value before the MC comparison "
+            "-- a deliberate bug injection proving the oracle can fail"
+        ),
+    ),
+    _flag(
+        "--asymptotic-grid",
+        action="store_true",
+        help=(
+            "also force the asymptotic tier through the exact-vs-"
+            "asymptotic crossover grid (n ~ 10-20): estimates must "
+            "stay within their certified bounds of the exact values "
+            "and within the MC z-gate; failure exits with code 6"
+        ),
+    ),
+    _flag(
+        "--asymptotic-ns",
+        type=int,
+        nargs="+",
+        default=[10, 12, 14, 16, 18, 20],
+        metavar="N",
+        help="crossover sizes for --asymptotic-grid",
+    ),
+    _flag(
+        "--inject-asymptotic-error",
+        type=float,
+        default=0.0,
+        metavar="EPS",
+        help=(
+            "add EPS to every asymptotic estimate in the "
+            "--asymptotic-grid comparison -- the deliberate bug "
+            "injection proving that gate can fail"
+        ),
+    ),
+)
 def _run_check(args: argparse.Namespace) -> int:
     """``repro check``: run the cross-validation oracle and report."""
     from repro.validation import default_case_grid, run_cross_validation
     from repro.validation.contracts import use_contracts
 
-    fault_tolerance = None
-    if args.max_retries is not None or args.shard_timeout is not None:
-        fault_tolerance = FaultToleranceConfig(
-            retry=RetryPolicy(
-                max_retries=(
-                    0 if args.max_retries is None else args.max_retries
-                ),
-                shard_timeout=args.shard_timeout,
-            )
-        )
+    fault_tolerance = _fault_tolerance_config(args)
     # The oracle must never compare a cached value with itself: running
     # cache-bypassed recomputes every analytic route from scratch, so
     # cached results elsewhere are cross-validated against fresh ones.
@@ -1377,52 +804,295 @@ def _run_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_runs(args: argparse.Namespace) -> int:
-    """``repro runs list|show|compare|prune``."""
-    store = RunStore(args.runs_dir)
-    try:
-        if args.runs_command == "list":
-            runs = store.list_runs()
-            if not runs:
-                print(
-                    f"no recorded runs under {store.root} "
-                    "(record one with --record-run)"
-                )
-                return 0
-            for run in runs:
-                state = "complete" if run.complete else "INCOMPLETE"
-                elapsed = (
-                    "?"
-                    if run.elapsed_seconds is None
-                    else f"{run.elapsed_seconds:.3f}s"
-                )
-                print(
-                    f"{run.run_id}  {run.started_utc or '?':<20}  "
-                    f"{run.command or '?':<10}  exit="
-                    f"{run.exit_code if run.exit_code is not None else '?'}"
-                    f"  {elapsed:>10}  [{state}]"
-                )
-        elif args.runs_command == "show":
-            print(render_run(store.find(args.run)))
-        elif args.runs_command == "compare":
-            print(
-                render_comparison(
-                    store.find(args.left),
-                    store.find(args.right),
-                    changed_only=args.changed_only,
-                )
-            )
-        elif args.runs_command == "prune":
-            removed = store.prune(keep=args.keep)
-            print(
-                f"pruned {removed} run(s); {len(store.list_runs())} kept"
-            )
-    except RunStoreError as exc:
-        print(f"repro runs: {exc}", file=sys.stderr)
-        return 2
+@_command(
+    "asymptotic",
+    "large-n winning probability and near-optimal threshold "
+    "via the certified asymptotic tier",
+    _required(_N),
+    _required(_DELTA),
+    _flag(
+        "--beta",
+        type=_parse_fraction,
+        default=None,
+        help=(
+            "evaluate this common threshold (omit to search for a "
+            "near-optimal one)"
+        ),
+    ),
+    _flag(
+        "--alpha",
+        type=_parse_fraction,
+        default=None,
+        help="evaluate the symmetric oblivious coin with this alpha",
+    ),
+    _flag(
+        "--method",
+        choices=["normal", "edgeworth"],
+        default="edgeworth",
+        help="asymptotic estimator (default edgeworth)",
+    ),
+    _flag(
+        "--json",
+        action="store_true",
+        help="emit the result as one JSON object",
+    ),
+)
+def _run_asymptotic(args: argparse.Namespace) -> int:
+    """``repro asymptotic``: certified large-n values in milliseconds."""
+    import json as _json
+    import time
+
+    from repro.core.asymptotic import (
+        symmetric_oblivious_winning_regime,
+        symmetric_threshold_winning_regime,
+    )
+    from repro.optimize.asymptotic_opt import (
+        near_optimal_symmetric_threshold,
+    )
+    from repro.probability.regimes import RegimePolicy
+
+    if args.alpha is not None and args.beta is not None:
+        raise ValidationError("choose --alpha or --beta, not both")
+    policy = RegimePolicy(method=args.method)
+    start = time.perf_counter()
+    if args.alpha is not None:
+        family, parameter = "oblivious", {"alpha": str(args.alpha)}
+        fields = symmetric_oblivious_winning_regime(
+            args.alpha, args.n, args.delta, policy
+        ).fields()
+    elif args.beta is not None:
+        family, parameter = "threshold", {"beta": str(args.beta)}
+        fields = symmetric_threshold_winning_regime(
+            args.beta, args.n, args.delta, policy
+        ).fields()
+    else:
+        optimum = near_optimal_symmetric_threshold(
+            args.n, args.delta, policy
+        )
+        family, parameter = "threshold-optimum", {"beta": optimum.beta}
+        fields = optimum.probability.fields(
+            gap_bound=optimum.gap_bound,
+            evaluations=optimum.evaluations,
+        )
+    payload = {
+        "family": family,
+        "n": args.n,
+        "delta": str(args.delta),
+        **parameter,
+        **fields,
+    }
+    payload["elapsed_seconds"] = time.perf_counter() - start
+    if args.json:
+        print(_json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for key, value in payload.items():
+            print(f"{key}: {value}")
     return 0
 
 
+@_command(
+    "cache",
+    "inspect, clear or warm the exact-kernel memoization cache",
+    _flag(
+        "action",
+        choices=["stats", "clear", "warm", "prune"],
+        help=(
+            "stats: print tier statistics as JSON; clear: drop every "
+            "entry; warm: precompute the standard sweep grids into the "
+            "persistent tier (requires --cache-dir or REPRO_CACHE_DIR); "
+            "prune: evict oldest entries until the tier fits "
+            "--max-bytes"
+        ),
+    ),
+    _flag(
+        "--max-bytes",
+        type=int,
+        default=None,
+        metavar="BYTES",
+        help=(
+            "size bound for the persistent tier: prune evicts "
+            "oldest-first down to this total (required for prune; with "
+            "other actions, installs the bound for this run so every "
+            "write prunes automatically)"
+        ),
+    ),
+    _NS.override(default=[2, 3, 4, 5]),
+    _DELTAS,
+    _GRID_SIZE,
+)
+def _run_cache(args: argparse.Namespace) -> int:
+    """``repro cache stats|clear|warm|prune``."""
+    import json
+
+    from repro.cache import cache_stats, clear_cache, configure_cache
+
+    if args.max_bytes is not None:
+        configure_cache(max_bytes=args.max_bytes)
+    if args.action == "stats":
+        print(json.dumps(cache_stats(), indent=2, sort_keys=True))
+        return 0
+    if args.action == "clear":
+        removed = clear_cache()
+        print(
+            f"cleared {removed['memory']} memory and "
+            f"{removed['disk']} disk entries"
+        )
+        return 0
+    if args.action == "prune" and args.max_bytes is None:
+        raise ValidationError("prune: --max-bytes BYTES is required")
+    if cache_stats()["disk"] is None:
+        raise ValidationError(
+            f"{args.action}: no persistent tier configured "
+            "(pass --cache-dir DIR or set REPRO_CACHE_DIR)"
+        )
+    if args.action == "prune":
+        from repro.cache import prune_disk_cache
+
+        evicted = prune_disk_cache(args.max_bytes)
+        after = cache_stats()["disk"]
+        print(
+            f"evicted {evicted} entr(ies); persistent tier now holds "
+            f"{after['entries']} entries / {after['total_bytes']} bytes "
+            f"in {after['directory']}"
+        )
+        return 0
+    # warm: precompute the standard sweep grids so later runs start hot.
+    from repro.core.nonoblivious import (
+        symmetric_threshold_winning_probability,
+    )
+    from repro.core.oblivious import (
+        optimal_oblivious_winning_probability,
+    )
+
+    kernel_calls = 0
+    for n in args.ns:
+        for delta in args.deltas:
+            optimal_oblivious_winning_probability(delta, n)
+            kernel_calls += 1
+            for i in range(args.grid_size):
+                beta = Fraction(i, max(args.grid_size - 1, 1))
+                symmetric_threshold_winning_probability(beta, n, delta)
+                kernel_calls += 1
+    after = cache_stats()["disk"]
+    print(
+        f"warmed {kernel_calls} kernel evaluations; persistent tier "
+        f"now holds {after['entries']} entries in {after['directory']}"
+    )
+    return 0
+
+
+_RUNS = _group(
+    "runs", "inspect the run-history store written by --record-run"
+)
+
+
+@_command("list", "one line per recorded run, oldest first", parent=_RUNS)
+def _run_runs_list(args: argparse.Namespace) -> int:
+    store = RunStore(args.runs_dir)
+    runs = store.list_runs()
+    if not runs:
+        print(
+            f"no recorded runs under {store.root} "
+            "(record one with --record-run)"
+        )
+    for run in runs:
+        state = "complete" if run.complete else "INCOMPLETE"
+        elapsed = (
+            "?"
+            if run.elapsed_seconds is None
+            else f"{run.elapsed_seconds:.3f}s"
+        )
+        print(
+            f"{run.run_id}  {run.started_utc or '?':<20}  "
+            f"{run.command or '?':<10}  exit="
+            f"{run.exit_code if run.exit_code is not None else '?'}"
+            f"  {elapsed:>10}  [{state}]"
+        )
+    return 0
+
+
+@_command(
+    "show", "identity, timing and counters of one run", _RUN, parent=_RUNS
+)
+def _run_runs_show(args: argparse.Namespace) -> int:
+    print(render_run(RunStore(args.runs_dir).find(args.run)))
+    return 0
+
+
+@_command(
+    "compare",
+    "counter-by-counter diff of two recorded runs",
+    _flag("left", help="baseline run reference"),
+    _flag(
+        "right",
+        nargs="?",
+        default="latest",
+        help="candidate run reference (default: latest)",
+    ),
+    _flag(
+        "--changed-only",
+        action="store_true",
+        help="hide counters with a zero delta",
+    ),
+    parent=_RUNS,
+)
+def _run_runs_compare(args: argparse.Namespace) -> int:
+    store = RunStore(args.runs_dir)
+    print(
+        render_comparison(
+            store.find(args.left),
+            store.find(args.right),
+            changed_only=args.changed_only,
+        )
+    )
+    return 0
+
+
+@_command(
+    "prune",
+    "delete the oldest recorded runs",
+    _flag(
+        "--keep",
+        type=int,
+        required=True,
+        metavar="N",
+        help="number of most recent runs to keep",
+    ),
+    parent=_RUNS,
+)
+def _run_runs_prune(args: argparse.Namespace) -> int:
+    store = RunStore(args.runs_dir)
+    removed = store.prune(keep=args.keep)
+    print(f"pruned {removed} run(s); {len(store.list_runs())} kept")
+    return 0
+
+
+@_command(
+    "report",
+    "render a recorded run as a self-contained HTML report",
+    _RUN,
+    _flag(
+        "--html",
+        type=Path,
+        required=True,
+        metavar="PATH",
+        help=(
+            "write the report here (single file, inline CSS and SVG, "
+            "no external references)"
+        ),
+    ),
+    _flag(
+        "--bench-root",
+        type=Path,
+        default=Path("."),
+        metavar="DIR",
+        help=(
+            "directory holding the BENCH_*.json lineage rendered as "
+            "sparklines (default: current directory)"
+        ),
+    ),
+    telemetry=False,
+)
 def _run_report(args: argparse.Namespace) -> int:
     """``repro report --html``: the self-contained HTML run report."""
     from repro.observability.htmlreport import (
@@ -1430,25 +1100,62 @@ def _run_report(args: argparse.Namespace) -> int:
         write_html_report,
     )
 
-    store = RunStore(args.runs_dir)
-    try:
-        run = store.find(args.run)
-    except RunStoreError as exc:
-        print(f"repro report: {exc}", file=sys.stderr)
-        return 2
     target = write_html_report(
         args.html,
-        run,
+        RunStore(args.runs_dir).find(args.run),
         bench_history=load_bench_history(args.bench_root),
     )
     print(f"report written to {target}")
     return 0
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    """``repro bench compare``: the perf-regression gate."""
-    import json
+_BENCH = _group(
+    "bench", "perf-regression gate over committed BENCH_*.json artifacts"
+)
 
+
+@_command(
+    "compare",
+    "gate CANDIDATE against BASELINE (or BASELINE against its "
+    "own committed floor); exits 7 on regression",
+    _flag(
+        "baseline", type=Path, help="baseline BENCH_*.json artifact"
+    ),
+    _flag(
+        "candidate",
+        type=Path,
+        nargs="?",
+        default=None,
+        help=(
+            "candidate artifact to gate (default: re-check the "
+            "baseline's own floor)"
+        ),
+    ),
+    _flag(
+        "--min-ratio",
+        type=float,
+        default=0.5,
+        metavar="R",
+        help=(
+            "minimum fraction of every baseline speedup the candidate "
+            "must retain (default 0.5)"
+        ),
+    ),
+    _flag(
+        "--max-ratio",
+        type=float,
+        default=2.0,
+        metavar="R",
+        help=(
+            "maximum multiple of every baseline *_seconds (and the "
+            "fallback-rate ceiling) the candidate may reach "
+            "(default 2.0)"
+        ),
+    ),
+    parent=_BENCH,
+)
+def _run_bench_compare(args: argparse.Namespace) -> int:
+    """``repro bench compare``: the perf-regression gate."""
     from repro.observability.regression import (
         compare_bench_files,
         render_bench_comparison,
@@ -1461,13 +1168,113 @@ def _run_bench(args: argparse.Namespace) -> int:
             min_ratio=args.min_ratio,
             max_ratio=args.max_ratio,
         )
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"repro bench compare: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ValidationError(str(exc)) from exc
     print(render_bench_comparison(comparison))
     return 0 if comparison.passed else EXIT_PERF_REGRESSION
 
 
+@_command(
+    "serve",
+    "answer winning-probability / optimal-strategy queries over "
+    "HTTP with admission control, deadline budgets and graceful "
+    "degradation",
+    _HOST,
+    _flag(
+        "--port",
+        type=int,
+        default=8080,
+        help="TCP port to listen on (0: pick a free port; default 8080)",
+    ),
+    _flag(
+        "--max-inflight",
+        type=int,
+        default=8,
+        metavar="K",
+        help="requests executing concurrently (default 8)",
+    ),
+    _flag(
+        "--queue-depth",
+        type=int,
+        default=16,
+        metavar="K",
+        help=(
+            "requests allowed to wait for a slot; arrivals beyond it "
+            "are shed with 429 (default 16)"
+        ),
+    ),
+    _flag(
+        "--deadline-ms",
+        type=float,
+        default=250.0,
+        metavar="MS",
+        help=(
+            "per-request budget propagated into the kernel tiers; the "
+            "exact fallback only runs while budget remains (default 250)"
+        ),
+    ),
+    _flag(
+        "--drain-seconds",
+        type=float,
+        default=5.0,
+        metavar="SECONDS",
+        help=(
+            "on SIGTERM/SIGINT, how long in-flight requests may finish "
+            "before stragglers are aborted (default 5)"
+        ),
+    ),
+    _flag(
+        "--warm",
+        action="append",
+        default=[],
+        metavar="N:DELTA",
+        help=(
+            "warm this (n, delta) pair's tables and optimum before "
+            "/readyz flips (repeatable; default 2:1/2 3:1/2 4:1/2)"
+        ),
+    ),
+    _flag(
+        "--no-warm-optima",
+        action="store_true",
+        help="warm compiled curves only, skip pre-solving exact optima",
+    ),
+    _flag(
+        "--max-n",
+        type=int,
+        default=32,
+        help="largest n this server will answer for (default 32)",
+    ),
+    _flag(
+        "--breaker-failures",
+        type=int,
+        default=3,
+        metavar="K",
+        help=(
+            "consecutive slow/failed exact fallbacks that trip the "
+            "circuit breaker open (default 3)"
+        ),
+    ),
+    _flag(
+        "--breaker-cooldown",
+        type=float,
+        default=5.0,
+        metavar="SECONDS",
+        help="open-state cooldown before a half-open probe (default 5)",
+    ),
+    _flag(
+        "--chaos",
+        action="append",
+        default=[],
+        metavar="KIND:REQUEST[:SECONDS]",
+        help=(
+            "inject one deterministic fault on that request sequence "
+            "number: slow/hang burn kernel budget (degraded-but-bounded "
+            "answer), corrupt forces a cache-bypassing recompute, delay "
+            "stalls the response, drop/partition sever the connection; "
+            "repeatable; never produces a 500"
+        ),
+    ),
+)
 def _run_serve(args: argparse.Namespace) -> int:
     """``repro serve``: the resilient HTTP query service."""
     from repro.distributed.chaos import parse_chaos_specs
@@ -1479,11 +1286,9 @@ def _run_serve(args: argparse.Namespace) -> int:
         try:
             pair = (int(n_text), Fraction(delta_text))
         except (ValueError, ZeroDivisionError):
-            print(
-                f"repro serve: --warm must be N:DELTA, got {spec!r}",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValidationError(
+                f"--warm must be N:DELTA, got {spec!r}"
+            ) from None
         warm.append(pair)
     config_kwargs = dict(
         host=args.host,
@@ -1520,6 +1325,94 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "coordinate",
+    "serve shard leases to `repro work` processes over TCP; "
+    "bit-identical to serial under any fault",
+    _N,
+    _DELTA,
+    _flag(
+        "--beta",
+        type=_parse_fraction,
+        default=Fraction(3, 5),
+        help="the symmetric threshold every player uses (default 3/5)",
+    ),
+    _TRIALS,
+    _SEED,
+    _flag("--shards", type=int, default=None),
+    _HOST,
+    _flag(
+        "--port",
+        type=int,
+        default=0,
+        help="TCP port to listen on (default 0: pick a free port)",
+    ),
+    _flag(
+        "--lease-seconds",
+        type=float,
+        default=30.0,
+        help=(
+            "how long a granted shard may stay unreported before it "
+            "is reassigned (default 30)"
+        ),
+    ),
+    _flag(
+        "--wait-for-workers",
+        type=float,
+        default=10.0,
+        metavar="SECONDS",
+        help=(
+            "how long to wait for a first worker before degrading to "
+            "local execution (default 10)"
+        ),
+    ),
+    _flag(
+        "--idle-grace",
+        type=float,
+        default=2.0,
+        metavar="SECONDS",
+        help=(
+            "how long to wait after the last worker disconnects "
+            "before finishing locally (default 2)"
+        ),
+    ),
+    _flag(
+        "--max-phase-seconds",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help=(
+            "hard budget for the distributed phase; on expiry the "
+            "remaining shards run locally (default: unbounded)"
+        ),
+    ),
+    _MAX_RETRIES.override(default=2),
+    _flag(
+        "--chaos",
+        action="append",
+        default=[],
+        metavar="KIND:SHARD[:SECONDS]",
+        help=(
+            "inject one deterministic fault at attempt 0 of SHARD; "
+            "KIND is crash/hang/slow/corrupt (compute layer) or "
+            "drop/delay/partition/dup (frame layer); repeatable; the "
+            "output must be identical to a clean run"
+        ),
+    ),
+    _CHECKPOINT,
+    _RESUME,
+    _flag(
+        "--distributed-smoke",
+        type=int,
+        default=None,
+        metavar="W",
+        help=(
+            "self-test: spawn W local `repro work` subprocesses, run "
+            "the estimate through them, then verify the result is "
+            "bit-identical to the serial engine (exit 1 on mismatch)"
+        ),
+    ),
+)
 def _run_coordinate(args: argparse.Namespace) -> int:
     """``repro coordinate``: one estimate served over shard leases."""
     import subprocess
@@ -1528,7 +1421,6 @@ def _run_coordinate(args: argparse.Namespace) -> int:
         DistributedConfig,
         estimate_winning_probability_distributed,
     )
-    from repro.distributed.chaos import parse_chaos_specs
     from repro.model.algorithms import SingleThresholdRule
     from repro.model.system import DistributedSystem
     from repro.simulation.parallel import (
@@ -1538,25 +1430,10 @@ def _run_coordinate(args: argparse.Namespace) -> int:
 
     smoke = args.distributed_smoke
     if smoke is not None and smoke < 1:
-        print(
-            "repro coordinate: --distributed-smoke needs >= 1 worker",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume and args.checkpoint is None:
-        print(
-            "repro coordinate: --resume requires --checkpoint PATH",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValidationError("--distributed-smoke needs >= 1 worker")
+    fault_tolerance = _fault_tolerance_config(args)
     system = DistributedSystem(
         [SingleThresholdRule(args.beta)] * args.n, args.delta
-    )
-    fault_tolerance = FaultToleranceConfig(
-        retry=RetryPolicy(max_retries=args.max_retries),
-        fault_plan=parse_chaos_specs(args.chaos),
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
     )
     config = DistributedConfig(
         host=args.host,
@@ -1657,6 +1534,38 @@ def _run_coordinate(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "work",
+    "serve one coordinator as a lease-holding worker",
+    _flag(
+        "--connect",
+        required=True,
+        metavar="HOST:PORT",
+        help="the coordinator's address (from `repro coordinate`)",
+    ),
+    _flag(
+        "--worker-id",
+        default=None,
+        help="identity shown in coordinator telemetry (default: pid)",
+    ),
+    _flag(
+        "--connect-retries",
+        type=int,
+        default=40,
+        metavar="K",
+        help=(
+            "connection attempts before giving up (jittered backoff "
+            "between attempts; default 40)"
+        ),
+    ),
+    _flag(
+        "--frame-timeout",
+        type=float,
+        default=60.0,
+        metavar="SECONDS",
+        help="per-frame read/write timeout (default 60)",
+    ),
+)
 def _run_work(args: argparse.Namespace) -> int:
     """``repro work``: serve one coordinator until it drains."""
     from repro.distributed import WorkerConfig, run_worker
@@ -1668,12 +1577,9 @@ def _run_work(args: argparse.Namespace) -> int:
     except ValueError:
         port = 0
     if not host or not 0 < port < 65536:
-        print(
-            f"repro work: --connect must be HOST:PORT, got "
-            f"{args.connect!r}",
-            file=sys.stderr,
+        raise ValidationError(
+            f"--connect must be HOST:PORT, got {args.connect!r}"
         )
-        return 2
     config = WorkerConfig(
         host=host,
         port=port,
@@ -1716,6 +1622,45 @@ def _run_work(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    groups: dict = {}
+    for flag in flags:
+        target = parser
+        if flag.group is not None:
+            if flag.group not in groups:
+                groups[flag.group] = parser.add_argument_group(flag.group)
+            target = groups[flag.group]
+        target.add_argument(*flag.names, **flag.options)
+
+
+def _add_command(subparsers, command: _Command, shared=()) -> None:
+    parser = subparsers.add_parser(command.name, help=command.help)
+    _add_flags(parser, (*shared, *command.flags))
+    if command.subcommands:
+        nested = parser.add_subparsers(
+            dest=f"{command.name}_command", required=True
+        )
+        for subcommand in command.subcommands:
+            _add_command(nested, subcommand)
+    else:
+        parser.set_defaults(handler=command.run)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Reproduce 'Optimal, Distributed Decision-Making: "
+            "The Case of No Communication' (Georgiades, Mavronicolas & "
+            "Spirakis, FCT 1999)."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in _COMMANDS:
+        _add_command(sub, command, _SHARED_FLAGS)
+    return parser
+
+
 def _emit_instrumentation(
     instr: Instrumentation,
     args: argparse.Namespace,
@@ -1748,12 +1693,12 @@ def _emit_instrumentation(
 
 
 def _dispatch_mapped(args: argparse.Namespace) -> int:
-    """Run :func:`_dispatch`, mapping predictable fault-tolerance
-    failures to distinct exit codes with a one-line message -- an
-    operator resuming an overnight run should see *which* kind of
-    failure occurred, not a traceback."""
+    """Run the command's handler, mapping predictable failures to
+    distinct exit codes with a one-line message -- an operator resuming
+    an overnight run should see *which* kind of failure occurred, not a
+    traceback."""
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except CheckpointFingerprintError as exc:
         print(
             f"repro: checkpoint belongs to a different run: {exc}",
@@ -1775,9 +1720,13 @@ def _dispatch_mapped(args: argparse.Namespace) -> int:
     except ServeError as exc:
         print(f"repro: serve: {exc}", file=sys.stderr)
         return EXIT_SERVE
-    except ValidationError as exc:
-        print(f"repro: invalid request: {exc}", file=sys.stderr)
-        return 2
+    except (ValidationError, RunStoreError) as exc:
+        # the one usage-error exit: a rejected argument value or
+        # combination, or a run reference the store cannot resolve
+        nested = getattr(args, f"{args.command}_command", None)
+        command = " ".join(filter(None, (args.command, nested)))
+        print(f"repro {command}: invalid request: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1807,12 +1756,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv=list(sys.argv[1:] if argv is None else argv),
     )
     set_current_run(context)
-    # The store-introspection commands read telemetry; they never
-    # produce it (recording a run of `repro runs list` would pollute
-    # the very store it lists).
-    introspection = args.command in ("runs", "report", "bench")
-    dashboard_on = args.dashboard and not introspection
-    record_on = args.record_run and not introspection
+    telemetry = next(c for c in _COMMANDS if c.name == args.command).telemetry
+    dashboard_on = args.dashboard and telemetry
+    record_on = args.record_run and telemetry
     profiled = bool(
         args.profile
         or args.metrics_out

@@ -194,10 +194,10 @@ def symmetric_threshold_winning_polynomial(
     object Section 5.2 differentiates and maximises.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValidationError(f"n must be >= 1, got {n}")
     d = as_fraction(delta)
     if d <= 0:
-        raise ValueError(f"delta must be positive, got {d}")
+        raise ValidationError(f"delta must be positive, got {d}")
 
     def build(mid: Fraction) -> Polynomial:
         total = Polynomial.zero()

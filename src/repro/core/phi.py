@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List
 
+from repro.errors import ValidationError
 from repro.probability.uniform_sums import irwin_hall_cdf
 from repro.symbolic.rational import RationalLike, as_fraction
 
@@ -49,7 +50,7 @@ def phi_table(t: RationalLike, n: int) -> List[Fraction]:
     of ``O(n^3)``.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValidationError(f"n must be >= 1, got {n}")
     tt = as_fraction(t)
     cdfs = [irwin_hall_cdf(tt, m) for m in range(n + 1)]
     return [cdfs[k] * cdfs[n - k] for k in range(n + 1)]

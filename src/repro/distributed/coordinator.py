@@ -197,8 +197,15 @@ class _Coordinator:
         self._last_activity = self._started
         self._watchdog = asyncio.create_task(self._watch())
 
-    async def shutdown(self) -> None:
-        """Stop granting, tell connected workers to drain, close up."""
+    async def shutdown(self, linger: float = 0.0) -> None:
+        """Stop granting, tell connected workers to drain, close up.
+
+        *linger* keeps the listener open that long after the drain, so
+        a worker that connects late (spawned when the phase began but
+        slower to start than the phase was to finish) is answered with
+        ``drain`` instead of refused connections until its reconnect
+        budget runs out.
+        """
         if self._watchdog is not None:
             self._watchdog.cancel()
             try:
@@ -215,6 +222,8 @@ class _Coordinator:
             except Exception:
                 pass
         if self._server is not None:
+            if linger > 0:
+                await asyncio.sleep(linger)
             self._server.close()
             await self._server.wait_closed()
 
@@ -336,6 +345,11 @@ class _Coordinator:
                         ),
                     },
                 )
+                return
+            if self.done.is_set():
+                # a late hello: the phase is over, so there is no
+                # session to offer and the worker must not count
+                await write_frame(writer, {"type": "drain"}, timeout=1.0)
                 return
             worker_id = str(
                 hello.get("worker_id") or f"worker-{id(writer):x}"
@@ -598,7 +612,14 @@ async def _serve_phase(
     try:
         await coordinator.done.wait()
     finally:
-        await coordinator.shutdown()
+        # workers other than the in-process helpers may still be on
+        # their way (spawned from on_ready, or started by hand); an
+        # interrupted phase exits promptly instead
+        external = on_ready is not None or local_workers == 0
+        linger = external and coordinator.interrupted is None
+        await coordinator.shutdown(
+            config.idle_grace_seconds if linger else 0.0
+        )
         for task in helpers:
             task.cancel()
         if helpers:

@@ -168,8 +168,12 @@ async def _handshake(
     writer: asyncio.StreamWriter,
     config: WorkerConfig,
     worker_id: str,
-) -> _Session:
-    """hello -> welcome; decode and digest-verify the system payload."""
+) -> Optional[_Session]:
+    """hello -> welcome; decode and digest-verify the system payload.
+
+    ``None`` when the coordinator answers the hello with ``drain``: the
+    phase ended before this worker connected.
+    """
     await write_frame(
         writer,
         {
@@ -182,6 +186,8 @@ async def _handshake(
     welcome = await read_frame(
         reader, timeout=config.frame_timeout_seconds
     )
+    if welcome.get("type") == "drain":
+        return None  # connected after the phase ended: nothing to do
     if welcome.get("type") == "reject":
         raise HandshakeError(
             f"coordinator rejected worker: {welcome.get('reason')}"
@@ -306,6 +312,10 @@ async def worker_session(
             raise
         try:
             session = await _handshake(reader, writer, config, worker_id)
+            if session is None:
+                report.drained = True
+                say("drained")
+                return report
             say(f"connected to {config.host}:{config.port}")
             while True:
                 if stopping():

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, TextIO
 
+from repro.observability.events import counter_rates
 from repro.observability.progress import format_rate
 
 __all__ = [
@@ -30,10 +31,6 @@ __all__ = [
     "DashboardState",
     "render_dashboard",
 ]
-
-
-def _rate(numerator: int, denominator: int) -> Optional[float]:
-    return numerator / denominator if denominator else None
 
 
 @dataclass
@@ -157,9 +154,7 @@ class DashboardState:
 
     @property
     def trials(self) -> int:
-        return self.counters.get("shard.trials", 0) or self.counters.get(
-            "engine.trials", 0
-        )
+        return counter_rates(self.counters)[0]
 
     @property
     def throughput(self) -> Optional[float]:
@@ -169,20 +164,11 @@ class DashboardState:
 
     @property
     def cache_hit_rate(self) -> Optional[float]:
-        hits = self.counters.get("cache.hits", 0) + self.counters.get(
-            "cache.disk_hits", 0
-        )
-        misses = self.counters.get("cache.misses", 0) + self.counters.get(
-            "cache.disk_misses", 0
-        )
-        return _rate(hits, hits + misses)
+        return counter_rates(self.counters)[1]
 
     @property
     def batch_fallback_rate(self) -> Optional[float]:
-        return _rate(
-            self.counters.get("batch.fallbacks", 0),
-            self.counters.get("batch.points", 0),
-        )
+        return counter_rates(self.counters)[2]
 
     @property
     def retries(self) -> int:

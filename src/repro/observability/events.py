@@ -77,6 +77,7 @@ __all__ = [
     "EventBus",
     "EventLogRead",
     "EventSubscriber",
+    "counter_rates",
     "counter_samples_from_events",
     "read_events",
     "reconstruct_metrics",
@@ -401,9 +402,26 @@ def reconstruct_metrics(
 # ---------------------------------------------------------------------------
 
 
-def _counter(snapshot: Mapping[str, Any], *names: str) -> int:
-    counters = snapshot.get("counters", {})
-    return sum(int(counters.get(name, 0)) for name in names)
+def counter_rates(
+    counters: Mapping[str, Any],
+) -> Tuple[int, Optional[float], Optional[float]]:
+    """``(trials, cache_hit_rate, batch_fallback_rate)`` of one counters
+    dict: the trial count (``shard.trials``, else ``engine.trials``),
+    the hit rate over the memory and disk cache tiers, and the batch
+    fallback rate.  A rate whose denominator never fired is ``None``.
+    """
+
+    def count(*names: str) -> int:
+        return sum(int(counters.get(name, 0)) for name in names)
+
+    hits = count("cache.hits", "cache.disk_hits")
+    lookups = hits + count("cache.misses", "cache.disk_misses")
+    points = count("batch.points")
+    return (
+        count("shard.trials") or count("engine.trials"),
+        hits / lookups if lookups else None,
+        count("batch.fallbacks") / points if points else None,
+    )
 
 
 def counter_samples_from_events(
@@ -425,10 +443,9 @@ def counter_samples_from_events(
     for event in events:
         if event.get("type") != "metrics":
             continue
-        snapshot = event.get("snapshot", {})
         t_ns = int(event.get("t_ns", 0))
-        trials = _counter(snapshot, "shard.trials") or _counter(
-            snapshot, "engine.trials"
+        trials, cache_hit_rate, batch_fallback_rate = counter_rates(
+            event.get("snapshot", {}).get("counters", {})
         )
         delta_ns = t_ns - previous_t_ns
         throughput = (
@@ -436,23 +453,12 @@ def counter_samples_from_events(
             if delta_ns > 0
             else None
         )
-        cache_hits = _counter(snapshot, "cache.hits", "cache.disk_hits")
-        cache_total = cache_hits + _counter(
-            snapshot, "cache.misses", "cache.disk_misses"
-        )
-        batch_points = _counter(snapshot, "batch.points")
         samples.append(
             {
                 "t_us": t_ns / 1e3,
                 "trials_per_second": throughput,
-                "cache_hit_rate": (
-                    cache_hits / cache_total if cache_total else None
-                ),
-                "batch_fallback_rate": (
-                    _counter(snapshot, "batch.fallbacks") / batch_points
-                    if batch_points
-                    else None
-                ),
+                "cache_hit_rate": cache_hit_rate,
+                "batch_fallback_rate": batch_fallback_rate,
             }
         )
         previous_trials = trials

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.errors import ValidationError
 from repro.fsutil import _open_line, _sealed_line, fsync_directory
 from repro.observability.runmeta import run_header
 
@@ -177,11 +178,11 @@ class RetryPolicy:
 
     def __post_init__(self):
         if self.max_retries < 0:
-            raise ValueError(
+            raise ValidationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
         if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise ValueError(
+            raise ValidationError(
                 f"shard_timeout must be positive, got {self.shard_timeout}"
             )
         if self.backoff_base < 0:

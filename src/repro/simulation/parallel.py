@@ -61,6 +61,7 @@ from typing import (
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.model.system import DistributedSystem
 from repro.observability import Instrumentation, get_instrumentation
 from repro.observability.metrics import MetricsRegistry, MetricsSnapshot
@@ -155,7 +156,7 @@ def resolve_shard_count(trials: int, shards: Optional[int]) -> int:
     if shards is None:
         shards = DEFAULT_SHARDS
     if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
+        raise ValidationError(f"shards must be >= 1, got {shards}")
     return min(shards, trials)
 
 
@@ -895,7 +896,7 @@ def estimate_winning_probability_sharded(
     bit-identical with them on or off.
     """
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     run = _ShardRun(
         system,
         trials,

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.errors import ValidationError
+
 __all__ = ["BinomialSummary", "wilson_interval", "required_samples"]
 
 
@@ -27,7 +29,7 @@ def wilson_interval(
     thousand runs.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(
             f"successes must be in [0, {trials}], got {successes}"

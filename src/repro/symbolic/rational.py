@@ -20,6 +20,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from repro.errors import ValidationError
+
 #: Types accepted wherever an exact rational is required.
 RationalLike = Union[int, Fraction, str, float]
 
@@ -139,7 +141,9 @@ def rational_range(start: RationalLike, stop: RationalLike, count: int) -> list:
     exact evaluation grids when regenerating the paper's figures.
     """
     if count < 2:
-        raise ValueError(f"rational_range needs count >= 2, got {count}")
+        raise ValidationError(
+            f"rational_range needs count >= 2, got {count}"
+        )
     lo = as_fraction(start)
     hi = as_fraction(stop)
     step = (hi - lo) / (count - 1)

@@ -188,3 +188,40 @@ class TestValidateFaultTolerance:
         assert code == 0
         assert "failures and recoveries:" in captured.err
         assert "engine.shards_salvaged" in captured.err
+
+
+class TestOutOfRangeFlags:
+    """An out-of-range numeric flag is a typed rejection (exit 2, one
+    ``invalid request`` line), never a traceback, whichever library
+    range check catches it."""
+
+    SMALL = {
+        "tradeoff": ["--ns", "2", "--trials", "100"],
+        "validate": ["--grid-size", "2", "--trials", "100"],
+        "sweep": [],
+        "coordinate": ["--trials", "100"],
+        "figure1": [],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("tradeoff", "--trials", "0"),
+            ("tradeoff", "--ns", "0"),
+            ("validate", "--trials", "0"),
+            ("validate", "--workers", "0"),
+            ("validate", "--grid-size", "0"),
+            ("sweep", "--grid-size", "0"),
+            ("coordinate", "--shards", "0"),
+            ("figure1", "--ns", "0"),
+            ("figure1", "--delta", "0"),
+            ("validate", "--max-retries", "-1"),
+            ("validate", "--shard-timeout", "-1"),
+        ],
+    )
+    def test_rejected_with_exit_2(self, capsys, command, flag, value):
+        code = main([command, *self.SMALL[command], flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"repro {command}: invalid request:" in captured.err
+        assert "Traceback" not in captured.err

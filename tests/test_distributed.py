@@ -472,6 +472,65 @@ class TestSubprocessWorkers:
         assert all(proc.returncode == 0 for proc in spawned)
 
 
+class TestLateWorker:
+    def test_worker_connecting_after_the_phase_is_drained(self):
+        """A worker that connects after the last shard landed gets a
+        ``drain`` answer within the idle-grace window instead of a
+        closed port, so it exits clean rather than unreachable."""
+        import threading
+        import time
+
+        from repro.distributed import WorkerConfig, run_worker
+
+        phase_over = threading.Event()
+        outcome = {}
+
+        def progress(report):
+            if report.completed_shards == report.total_shards:
+                phase_over.set()
+
+        def late_worker(port):
+            phase_over.wait(timeout=30)
+            time.sleep(0.3)  # well after the phase ended
+            try:
+                outcome["report"] = run_worker(
+                    WorkerConfig(
+                        port=port,
+                        worker_id="late",
+                        connect_policy=RetryPolicy(
+                            max_retries=2, backoff_base=0.05
+                        ),
+                    )
+                )
+            except Exception as exc:  # surfaced by the assertion below
+                outcome["error"] = exc
+
+        threads = []
+
+        def on_ready(port):
+            threads.append(threading.Thread(target=late_worker, args=(port,)))
+            threads[-1].start()
+
+        estimate = estimate_winning_probability_distributed(
+            make_system(),
+            TRIALS,
+            SeedSequenceFactory(SEED),
+            stream=STREAM,
+            shards=SHARDS,
+            config=DistributedConfig(port=0, idle_grace_seconds=2.0),
+            local_workers=2,
+            on_ready=on_ready,
+            progress=progress,
+        )
+        threads[0].join(timeout=30)
+        assert not threads[0].is_alive()
+        assert "error" not in outcome, outcome.get("error")
+        assert outcome["report"].drained
+        assert outcome["report"].shards_completed == 0
+        assert estimate.workers_used <= 2  # the late worker never counted
+        assert_identical(estimate, serial_reference())
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------

@@ -138,3 +138,14 @@ class TestDesignMd:
             assert any(p.exists() for p in hits), (
                 f"DESIGN.md names {name} but it does not exist"
             )
+
+
+class TestVerifySkill:
+    def test_command_list_matches_the_command_table(self):
+        from repro.cli import _COMMANDS
+
+        text = read(".claude/skills/verify/SKILL.md")
+        listed = re.search(r"Commands:(.*?)\. Exit code", text, re.DOTALL)
+        assert listed, "SKILL.md has no 'Commands: ... Exit code' list"
+        names = re.findall(r"`([a-z0-9]+)`", listed.group(1))
+        assert names == [command.name for command in _COMMANDS]
