@@ -29,6 +29,19 @@ On each interval between *breakpoints* (the points where one of the
 strict conditions flips), ``P(beta)`` is a polynomial with rational
 coefficients; :func:`symmetric_threshold_winning_polynomial` constructs
 that exact piecewise polynomial, which Section 5.2 then maximises.
+
+With ``delta = p/q`` in lowest terms, one common denominator clears
+every fraction (``m = n - k``, sums over the same active ``i``):
+
+``P(beta) = (1 / (n! q^n)) sum_k C(n, k)^2 Ahat_k(beta) Bhat_k(beta)``
+
+``Ahat_k = sum_i (-1)^i C(m, i) (p - i q beta)^m``
+
+``Bhat_k = k! q^k (1 - beta)^k
+           - sum_i (-1)^i C(k, i) (k q - p - i q + i q beta)^k``
+
+so every term has integer coefficients and depends only on ``(m, i)``
+or ``(k, i)``, never on the interval.
 """
 
 from __future__ import annotations
@@ -164,10 +177,10 @@ def symmetric_threshold_breakpoints(
     polynomial in ``beta``.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValidationError(f"n must be >= 1, got {n}")
     d = as_fraction(delta)
     if d <= 0:
-        raise ValueError(f"delta must be positive, got {d}")
+        raise ValidationError(f"delta must be positive, got {d}")
     points = {Fraction(0), Fraction(1)}
     for i in range(1, n + 1):
         candidate = d / i
@@ -188,10 +201,12 @@ def symmetric_threshold_winning_polynomial(
     """The exact piecewise polynomial ``beta -> P(beta)`` on ``[0, 1]``.
 
     On each breakpoint interval the active condition pattern is fixed,
-    so each ``A_k`` and ``B_k`` is a genuine polynomial in ``beta``;
-    the construction evaluates the conditions at the interval midpoint
-    and assembles the polynomial with exact arithmetic.  This is the
-    object Section 5.2 differentiates and maximises.
+    so each ``A_k`` and ``B_k`` is a genuine polynomial in ``beta``.
+    Every term of the module's common-denominator identity is expanded
+    once, in closed form, as Python ``int`` coefficients; each interval
+    sums the terms active at its midpoint and convolves the integer
+    ``Ahat_k`` and ``Bhat_k``.  This is the object Section 5.2
+    differentiates and maximises.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -199,40 +214,36 @@ def symmetric_threshold_winning_polynomial(
     if d <= 0:
         raise ValidationError(f"delta must be positive, got {d}")
 
+    p, q = d.numerator, d.denominator
+
+    def expand(scale: int, c0: int, c1: int, e: int) -> List[int]:
+        """Integer coefficients of ``scale * (c0 + c1 * beta) ** e``."""
+        return [scale * binomial(e, j) * c0 ** (e - j) * c1 ** j
+                for j in range(e + 1)]
+
+    a_terms = [[expand((-1) ** i * binomial(m, i), p, -i * q, m)
+                for i in range(m + 1)] for m in range(n + 1)]
+    b_terms = [[expand((-1) ** i * binomial(k, i), (k - i) * q - p, i * q, k)
+                for i in range(k + 1)] for k in range(n + 1)]
+    b_bases = [expand(factorial(k), q, -q, k) for k in range(n + 1)]
+    denominator = factorial(n) * q ** n
+
     def build(mid: Fraction) -> Polynomial:
-        total = Polynomial.zero()
+        total = [0] * (n + 1)
         for k in range(n + 1):
-            m = n - k
-            # A_k as a polynomial in beta around `mid`.
-            if m == 0:
-                a_poly = Polynomial.one()
-            else:
-                acc = Polynomial.zero()
-                for i in range(m + 1):
-                    if d - i * mid > 0:
-                        acc = acc + (
-                            (-1) ** i
-                            * binomial(m, i)
-                            * Polynomial.linear(d, -i) ** m
-                        )
-                a_poly = acc / factorial(m)
-            # B_k as a polynomial in beta around `mid`.
-            if k == 0:
-                b_poly = Polynomial.one()
-            else:
-                acc = Polynomial.zero()
-                for i in range(k + 1):
-                    if k - d - i * (1 - mid) > 0:
-                        acc = acc + (
-                            (-1) ** i
-                            * binomial(k, i)
-                            * Polynomial.linear(k - d - i, i) ** k
-                        )
-                b_poly = (
-                    Polynomial.linear(1, -1) ** k - acc / factorial(k)
-                )
-            total = total + binomial(n, k) * a_poly * b_poly
-        return total
+            a_hat = [0] * (n - k + 1)
+            for i, term in enumerate(a_terms[n - k]):
+                if d - i * mid > 0:
+                    a_hat = [x + y for x, y in zip(a_hat, term)]
+            b_hat = b_bases[k]
+            for i, term in enumerate(b_terms[k]):
+                if k - d - i * (1 - mid) > 0:
+                    b_hat = [x - y for x, y in zip(b_hat, term)]
+            weight = binomial(n, k) ** 2
+            for r, a in enumerate(a_hat):
+                for s, b in enumerate(b_hat):
+                    total[r + s] += weight * a * b
+        return Polynomial([Fraction(c, denominator) for c in total])
 
     breakpoints = symmetric_threshold_breakpoints(n, d)
     return PiecewisePolynomial.from_sampler(build, breakpoints)

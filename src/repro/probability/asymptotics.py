@@ -225,7 +225,7 @@ def irwin_hall_cdf_asymptotic(
     value, bound = irwin_hall_asymptotic_value_bound(
         _float_point(t), m, method
     )
-    return Enclosure(value, bound, TIER_ASYMPTOTIC, method, m=m)
+    return Enclosure(value, bound, TIER_ASYMPTOTIC, method)
 
 
 def sum_uniform_cdf_asymptotic(
@@ -255,15 +255,15 @@ def sum_uniform_cdf_asymptotic(
     m = len(widths)
     if m == 0:
         value = 1.0 if t >= 0.0 else 0.0
-        return Enclosure(value, 0.0, TIER_ASYMPTOTIC, method, m=0)
+        return Enclosure(value, 0.0, TIER_ASYMPTOTIC, method)
     if t <= 0.0:
-        return Enclosure(0.0, 0.0, TIER_ASYMPTOTIC, method, m=m)
+        return Enclosure(0.0, 0.0, TIER_ASYMPTOTIC, method)
     scale = math.ldexp(1.0, -math.frexp(max(widths))[1])
     widths = [u * scale for u in widths]
     t *= scale
     span = math.fsum(widths)
     if t >= span:
-        return Enclosure(1.0, 0.0, TIER_ASYMPTOTIC, method, m=m)
+        return Enclosure(1.0, 0.0, TIER_ASYMPTOTIC, method)
     mean = 0.5 * span
     sq = math.fsum(u * u for u in widths)
     variance = sq / 12.0
@@ -275,7 +275,7 @@ def sum_uniform_cdf_asymptotic(
     kappa4 = -math.fsum(u * u * u * u for u in widths) / 120.0
     lambda4 = kappa4 / (variance * variance)
     value, bound = _raw_assemble(t, mean, sigma, be, lambda4, sq, method)
-    return Enclosure(value, bound, TIER_ASYMPTOTIC, method, m=m)
+    return Enclosure(value, bound, TIER_ASYMPTOTIC, method)
 
 
 def irwin_hall_quantile_asymptotic(

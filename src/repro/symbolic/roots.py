@@ -114,7 +114,15 @@ def isolate_real_roots(
     (callers that care evaluate the endpoint themselves; the paper's use
     always does, via piecewise interval endpoints).
     """
-    square_free = poly.squarefree_part()
+    return _isolate_radical(poly.squarefree_part(), lower, upper)
+
+
+def _isolate_radical(
+    square_free: Polynomial,
+    lower: Optional[RationalLike],
+    upper: Optional[RationalLike],
+) -> List[Tuple[Fraction, Fraction]]:
+    """:func:`isolate_real_roots` of an already squarefree polynomial."""
     if square_free.is_constant():
         return []
     chain = sturm_sequence(square_free)
@@ -220,10 +228,8 @@ def real_roots(
     rational and hit by bisection).
     """
     square_free = poly.squarefree_part()
-    if square_free.is_constant():
-        return []
     roots = []
-    for a, b in isolate_real_roots(square_free, lower, upper):
+    for a, b in _isolate_radical(square_free, lower, upper):
         if a == b:
             roots.append(a)
         else:

@@ -103,11 +103,9 @@ class Enclosure:
 
     The guarantee is ``|true value - value| <= error_bound``.
     *regime* is the tier that answered (a ``TIER_*`` constant),
-    *method* the kernel inside it, *exact* the untruncated
-    ``Fraction`` when there is one, and *m* the number of
-    positive-width uniform summands when an asymptotic CDF kernel
-    answered.  A plain frozen dataclass: the mixture hot path builds
-    one per small-order factor.
+    *method* the kernel inside it, and *exact* the untruncated
+    ``Fraction`` when there is one.  A plain frozen dataclass: the
+    mixture hot path builds one per small-order factor.
     """
 
     value: float
@@ -115,7 +113,6 @@ class Enclosure:
     regime: str
     method: str
     exact: Optional[Fraction] = None
-    m: Optional[int] = None
 
     @classmethod
     def of_fraction(

@@ -1,5 +1,6 @@
 """Tests for repro.core.nonoblivious (Theorem 5.1 and Section 5.2)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from repro.core.nonoblivious import (
     symmetric_threshold_winning_probability,
     threshold_winning_probability,
 )
+from repro.errors import ValidationError
+from repro.optimize.threshold_opt import optimal_symmetric_threshold
 from repro.probability.uniform_sums import irwin_hall_cdf
 from repro.symbolic.polynomial import Polynomial
 
@@ -176,6 +179,12 @@ class TestBreakpoints:
         with pytest.raises(ValueError):
             symmetric_threshold_breakpoints(3, 0)
 
+    def test_validation_is_typed(self):
+        with pytest.raises(ValidationError):
+            symmetric_threshold_breakpoints(0, 1)
+        with pytest.raises(ValidationError):
+            symmetric_threshold_breakpoints(3, Fraction(-1, 2))
+
     def test_polynomial_valid_between_breakpoints(self):
         # sampling three points inside one interval: all on the same
         # polynomial (cross-check of the condition-pattern construction)
@@ -188,3 +197,42 @@ class TestBreakpoints:
                 assert piece.polynomial(x) == (
                     symmetric_threshold_winning_probability(x, n, delta)
                 )
+
+
+#: perfbench's library and serve curves, plus two deltas with a
+#: denominator other than 1 or 2 (so q > 2 in ``delta = p/q``).
+_CLOSED_FORM_CURVES = (
+    (3, Fraction(1)), (5, Fraction(1, 2)), (7, Fraction(1, 2)),
+    (10, Fraction(1, 2)), (4, Fraction(4, 3)), (6, Fraction(1, 2)),
+    (8, Fraction(1, 2)), (9, Fraction(1, 2)), (6, Fraction(2)),
+    (7, Fraction(5, 3)), (10, Fraction(7, 3)),
+)
+
+
+class TestClosedFormConstruction:
+    """The integer-term builder against the independent scalar formula.
+
+    Two polynomials of degree <= n that agree at n + 1 distinct points
+    are identical, so each piece is pinned exactly.
+    """
+
+    @pytest.mark.parametrize("n,delta", _CLOSED_FORM_CURVES)
+    def test_pieces_equal_scalar_formula(self, n, delta):
+        curve = symmetric_threshold_winning_polynomial(n, delta)
+        bounds = [curve.pieces[0].lower] + [p.upper for p in curve.pieces]
+        assert bounds == symmetric_threshold_breakpoints(n, delta)
+        for piece in curve.pieces:
+            assert piece.polynomial.degree <= n
+            width = piece.upper - piece.lower
+            for j in range(1, n + 2):
+                x = piece.lower + width * Fraction(j, n + 2)
+                assert piece.polynomial(x) == (
+                    symmetric_threshold_winning_probability(x, n, delta)
+                )
+
+    def test_paper_anchors(self):
+        n3 = optimal_symmetric_threshold(3, 1)
+        assert abs(n3.beta - (1 - math.sqrt(1 / 7))) < 1e-9
+        assert round(float(n3.probability), 3) == 0.545
+        n4 = optimal_symmetric_threshold(4, Fraction(4, 3))
+        assert round(float(n4.beta), 3) == 0.678
