@@ -1,5 +1,5 @@
-"""Extension machinery benchmarks: variance reduction, adaptive
-estimation, input distributions, and the symbolic Theorem 4.1 object.
+"""Extension machinery benchmarks: input distributions and the
+symbolic Theorem 4.1 object.
 
 These are not paper artifacts; they benchmark the parts of the library
 a downstream user leans on when scaling beyond the paper's instances,
@@ -15,70 +15,6 @@ from repro.core.nonoblivious import threshold_winning_probability
 
 THRESHOLDS = [Fraction(62, 100)] * 3
 EXACT = float(threshold_winning_probability(1, THRESHOLDS))
-
-
-def test_bench_variance_reduction_comparison(benchmark):
-    """Stratified + antithetic vs plain Monte Carlo at equal budget."""
-    from repro.model.algorithms import SingleThresholdRule
-    from repro.model.system import DistributedSystem
-    from repro.simulation.variance_reduction import (
-        antithetic_winning_probability,
-        plain_reference,
-        stratified_threshold_winning_probability,
-    )
-
-    system = DistributedSystem(
-        [SingleThresholdRule(a) for a in THRESHOLDS], 1
-    )
-
-    def run_all():
-        return (
-            plain_reference(THRESHOLDS, 1, trials=60_000, seed=3),
-            antithetic_winning_probability(system, trials=60_000, seed=3),
-            stratified_threshold_winning_probability(
-                THRESHOLDS, 1, trials=60_000, seed=3
-            ),
-        )
-
-    plain, anti, strat = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    for est in (plain, anti, strat):
-        assert est.covers(EXACT)
-    assert anti.std_error < plain.std_error
-    assert strat.std_error < plain.std_error
-    record(
-        "variance reduction (60k trials)",
-        plain_se=f"{plain.std_error:.6f}",
-        antithetic_se=f"{anti.std_error:.6f}",
-        stratified_se=f"{strat.std_error:.6f}",
-    )
-
-
-def test_bench_adaptive_estimation(benchmark):
-    from repro.model.algorithms import SingleThresholdRule
-    from repro.model.system import DistributedSystem
-    from repro.simulation.adaptive import estimate_until_precise
-    from repro.simulation.engine import MonteCarloEngine
-
-    system = DistributedSystem(
-        [SingleThresholdRule(a) for a in THRESHOLDS], 1
-    )
-
-    def run():
-        return estimate_until_precise(
-            system,
-            half_width=0.005,
-            engine=MonteCarloEngine(seed=21),
-        )
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert result.achieved
-    assert result.summary.covers(EXACT)
-    record(
-        "adaptive to ±0.005",
-        trials=result.total_trials,
-        stages=len(result.stages),
-        estimate=f"{result.summary.estimate:.5f}",
-    )
 
 
 @pytest.mark.parametrize(

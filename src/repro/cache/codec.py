@@ -10,8 +10,7 @@ those -- and refuses everything else with
 "memory-tier only", never as a failure.
 
 The encoded form is plain JSON-compatible data: fractions become
-``"p/q"`` strings (the convention of
-:mod:`repro.simulation.results_store`), sequences become tagged lists.
+``"p/q"`` strings, sequences become tagged lists.
 """
 
 from __future__ import annotations

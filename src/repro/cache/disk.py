@@ -1,7 +1,6 @@
 """Persistent cache tier: one checksummed JSON file per entry.
 
-Storage discipline reuses the hardening of
-:mod:`repro.simulation.results_store`:
+Storage discipline:
 
 * **Atomic writes.**  Every entry is written with
   :func:`repro.fsutil.atomic_write` (temp file, ``fsync``,

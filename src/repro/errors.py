@@ -20,9 +20,6 @@ genuine bug surfacing as an arbitrary exception.  The hierarchy:
 ``NumericalInstabilityError`` (also an :class:`ArithmeticError`)
     the guarded float fast path could not certify its error bound and
     the caller forbade the exact fallback;
-``ResultsStoreError`` (also a :class:`ValueError`)
-    a stored sweep file could not be read back (re-exported by
-    :mod:`repro.simulation.results_store`, its historical home);
 ``PiecewiseDomainError`` (also a :class:`ValueError`)
     a piecewise polynomial was built from a malformed piece layout --
     zero-width or inverted pieces, non-contiguous intervals,
@@ -50,8 +47,8 @@ genuine bug surfacing as an arbitrary exception.  The hierarchy:
     the signal number; the CLI exits with ``128 + signum`` (the shell
     convention: 130 for SIGINT, 143 for SIGTERM).
 
-``ValidationError``, ``ResultsStoreError`` and ``PiecewiseDomainError``
-keep :class:`ValueError` as a base so code written against the old
+``ValidationError`` and ``PiecewiseDomainError`` keep
+:class:`ValueError` as a base so code written against the old
 bare-``ValueError`` behaviour -- including every pre-existing test --
 continues to work.
 """
@@ -64,7 +61,6 @@ __all__ = [
     "NumericalInstabilityError",
     "PiecewiseDomainError",
     "ReproError",
-    "ResultsStoreError",
     "RunInterruptedError",
     "ServeError",
     "ValidationError",
@@ -166,14 +162,3 @@ class ServeError(ReproError, RuntimeError):
     injected faults) are absorbed by admission control and the
     degradation ladder and never surface as exceptions.  The CLI maps
     this to exit code 9."""
-
-
-class ResultsStoreError(ReproError, ValueError):
-    """A stored sweep file could not be read back.
-
-    Raised by :func:`repro.simulation.results_store.load_sweep` for
-    every failure mode a reader should handle uniformly -- a missing
-    file, truncated or corrupted JSON, or a payload that parses but
-    violates the schema.  The message always names the offending path.
-    Subclasses :class:`ValueError` so callers written against the old
-    bare-``ValueError`` behaviour keep working."""

@@ -1,7 +1,7 @@
 """Filesystem durability and record-sealing helpers shared by every
 on-disk tier.
 
-The disk cache, sweep store and run store replace whole files with
+The disk cache and run store replace whole files with
 :func:`atomic_write`: write a temp file, flush, ``fsync``, then
 ``os.replace`` onto the target.  That sequence makes the *contents*
 durable but not the *name*: POSIX only guarantees the rename itself

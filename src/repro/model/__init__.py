@@ -33,26 +33,10 @@ from repro.model.communication import (
     GraphPattern,
     NoCommunication,
 )
-from repro.model.messaging import (
-    AnnouncementProtocol,
-    Message,
-    PartialSumChainProtocol,
-    ProtocolEngine,
-    ProtocolOutcome,
-    RoundBasedProtocol,
-    Transcript,
-)
 from repro.model.system import DistributedSystem, Outcome
 
 __all__ = [
-    "AnnouncementProtocol",
     "BetaInputs",
-    "Message",
-    "PartialSumChainProtocol",
-    "ProtocolEngine",
-    "ProtocolOutcome",
-    "RoundBasedProtocol",
-    "Transcript",
     "CallableRule",
     "InputDistribution",
     "MixtureInputs",

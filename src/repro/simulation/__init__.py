@@ -21,7 +21,6 @@ protocol on sampled inputs:
   replays named streams, so faults never change results.
 """
 
-from repro.simulation.adaptive import AdaptiveResult, estimate_until_precise
 from repro.simulation.engine import MonteCarloEngine
 from repro.simulation.faulttolerance import (
     CheckpointError,
@@ -43,23 +42,11 @@ from repro.simulation.parallel import (
     plan_shards,
     shard_stream_name,
 )
-from repro.simulation.results_store import (
-    ResultsStoreError,
-    load_sweep,
-    merge_sweeps,
-    save_sweep,
-)
 from repro.simulation.rng import SeedSequenceFactory
 from repro.simulation.runner import SweepResult, sweep_thresholds, sweep_players
 from repro.simulation.statistics import BinomialSummary, wilson_interval
-from repro.simulation.variance_reduction import (
-    VarianceReducedEstimate,
-    antithetic_winning_probability,
-    stratified_threshold_winning_probability,
-)
 
 __all__ = [
-    "AdaptiveResult",
     "BinomialSummary",
     "CheckpointError",
     "CheckpointFingerprintError",
@@ -67,24 +54,16 @@ __all__ = [
     "FaultSpec",
     "FaultToleranceConfig",
     "FaultToleranceError",
-    "ResultsStoreError",
     "RetryPolicy",
     "ShardFailure",
     "ShardOutcome",
     "ShardRetriesExhaustedError",
     "ShardedEstimate",
-    "VarianceReducedEstimate",
-    "antithetic_winning_probability",
     "count_wins",
-    "estimate_until_precise",
     "estimate_winning_probability_sharded",
     "load_checkpoint",
-    "load_sweep",
-    "merge_sweeps",
     "plan_shards",
-    "save_sweep",
     "shard_stream_name",
-    "stratified_threshold_winning_probability",
     "MonteCarloEngine",
     "SeedSequenceFactory",
     "SweepResult",

@@ -22,6 +22,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.core.nonoblivious import symmetric_threshold_winning_probability
 from repro.core.oblivious import optimal_oblivious_winning_probability
+from repro.errors import ValidationError
 from repro.model.algorithms import SingleThresholdRule
 from repro.model.system import DistributedSystem
 from repro.observability import get_instrumentation
@@ -85,14 +86,6 @@ class SweepResult:
     batch: Optional[BatchSweepStats] = None
 
     @property
-    def parameters(self) -> List[Fraction]:
-        return [p.parameter for p in self.points]
-
-    @property
-    def exact_values(self) -> List[Fraction]:
-        return [p.exact for p in self.points]
-
-    @property
     def any_simulated(self) -> bool:
         """Whether at least one point carries a Monte Carlo check."""
         return any(p.consistent is not None for p in self.points)
@@ -151,6 +144,8 @@ def sweep_thresholds(
     the scalar path when exact evaluation at such betas matters.
     """
     d = as_fraction(delta)
+    if d <= 0:
+        raise ValidationError(f"delta must be positive, got {d}")
     betas = (
         [as_fraction(b) for b in grid]
         if grid is not None

@@ -15,7 +15,7 @@ from typing import Tuple
 
 from repro.errors import ValidationError
 
-__all__ = ["BinomialSummary", "wilson_interval", "required_samples"]
+__all__ = ["BinomialSummary", "wilson_interval"]
 
 
 def wilson_interval(
@@ -46,15 +46,6 @@ def wilson_interval(
         / denom
     )
     return (max(0.0, centre - spread), min(1.0, centre + spread))
-
-
-def required_samples(half_width: float, z_score: float = 3.89) -> int:
-    """Trials needed for a worst-case (p = 1/2) interval of given half-width."""
-    if not 0 < half_width < 0.5:
-        raise ValueError(
-            f"half_width must be in (0, 0.5), got {half_width}"
-        )
-    return math.ceil((z_score / (2 * half_width)) ** 2)
 
 
 @dataclass(frozen=True)

@@ -225,3 +225,22 @@ class TestOutOfRangeFlags:
         assert code == 2
         assert f"repro {command}: invalid request:" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--grid-size", "2", "--trials", "100"],
+            ["sweep"],
+            ["sweep", "--batch"],
+        ],
+        ids=["validate", "sweep", "sweep-batch"],
+    )
+    def test_non_positive_delta_rejected_with_exit_2(self, capsys, argv):
+        # one typed rejection on every sweep path: no traceback from
+        # validate, no plain sweep printing P = 0 at every beta
+        code = main([*argv, "--delta", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        expected = f"repro {argv[0]}: invalid request: delta must be positive"
+        assert expected in captured.err
+        assert "Traceback" not in captured.err

@@ -28,7 +28,6 @@ from repro.errors import (
     ContractViolation,
     NumericalInstabilityError,
     ReproError,
-    ResultsStoreError,
     ValidationError,
 )
 from repro.geometry.volume import (
@@ -85,7 +84,6 @@ class TestExceptionHierarchy:
             ValidationError,
             ContractViolation,
             NumericalInstabilityError,
-            ResultsStoreError,
         ):
             assert issubclass(exc_type, ReproError)
 
@@ -93,7 +91,6 @@ class TestExceptionHierarchy:
         # Code written against the old bare-ValueError behaviour must
         # keep working after the migration to typed errors.
         assert issubclass(ValidationError, ValueError)
-        assert issubclass(ResultsStoreError, ValueError)
         assert issubclass(NumericalInstabilityError, ArithmeticError)
         assert not issubclass(ContractViolation, ValueError)
 
@@ -101,11 +98,6 @@ class TestExceptionHierarchy:
         exc = ContractViolation("my_contract", "value out of range")
         assert exc.contract == "my_contract"
         assert "my_contract" in str(exc)
-
-    def test_results_store_reexport(self):
-        from repro.simulation import results_store
-
-        assert results_store.ResultsStoreError is ResultsStoreError
 
     def test_numeric_layers_raise_validation_error(self):
         with pytest.raises(ValidationError):

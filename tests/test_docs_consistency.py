@@ -6,6 +6,7 @@ the claims out of the prose and recompute them, so documentation rot
 fails CI instead of misleading readers.
 """
 
+import importlib
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -149,3 +150,49 @@ class TestVerifySkill:
         assert listed, "SKILL.md has no 'Commands: ... Exit code' list"
         names = re.findall(r"`([a-z0-9]+)`", listed.group(1))
         assert names == [command.name for command in _COMMANDS]
+
+
+#: Documents whose backticked ``repro.…`` paths must resolve.
+PATH_DOCS = ("docs/api.md", "docs/architecture.md", "docs/math.md", "README.md")
+#: A dotted ``repro.…`` path, optionally ending in a ``.{a, b}`` group.
+DOTTED = re.compile(r"(?<![\w./-])(repro(?:\.\w+)+)(?:\.\{([^}]*)\})?")
+
+
+def documented_paths(text: str):
+    """Every dotted ``repro.…`` path inside a backtick span of *text*
+    (fenced code blocks excluded), with brace groups expanded."""
+    text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for match in DOTTED.finditer(span):
+            base, group = match.groups()
+            if group is None:
+                yield base
+            else:
+                for name in group.split(","):
+                    yield f"{base}.{name.strip()}"
+
+
+def resolves(path: str) -> bool:
+    """True when *path* imports as a module, or as attributes of the
+    longest importable module prefix."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+class TestDocumentedPaths:
+    @pytest.mark.parametrize("name", PATH_DOCS)
+    def test_every_dotted_path_resolves(self, name):
+        paths = sorted(set(documented_paths(read(name))))
+        assert paths, f"{name} names no repro.… path"
+        unresolved = [path for path in paths if not resolves(path)]
+        assert not unresolved, f"{name} names stale paths: {unresolved}"

@@ -2,14 +2,10 @@
 
 Grouped by module; each class targets specific rarely-hit behaviour
 (scalar Monte Carlo path with custom input distributions, renderer
-degenerate geometries, sweep metadata, polynomial printing corners,
-protocol engine limits).
+degenerate geometries, sweep metadata, polynomial printing corners).
 """
 
 from fractions import Fraction
-
-import numpy as np
-import pytest
 
 from repro.experiments.report import format_table, render_ascii_plot
 from repro.model.algorithms import SingleThresholdRule
@@ -108,35 +104,6 @@ class TestSweepMetadata:
 
         result = sweep_thresholds(3, 1, grid_size=3)
         assert all(p.consistent is None for p in result.points)
-
-
-class TestProtocolEngineLimits:
-    def test_zero_round_protocol_has_empty_transcript(self, rng):
-        from repro.model.communication import NoCommunication
-        from repro.model.messaging import (
-            AnnouncementProtocol,
-            ProtocolEngine,
-        )
-
-        protocol = AnnouncementProtocol(
-            NoCommunication(2), [SingleThresholdRule(Fraction(1, 2))] * 2
-        )
-        outcome = ProtocolEngine(1).execute(protocol, [0.3, 0.7], rng)
-        assert outcome.transcript.total_messages == 0
-        assert outcome.transcript.outputs == (0, 1)
-
-    def test_estimate_trials_validation(self):
-        from repro.model.messaging import (
-            PartialSumChainProtocol,
-            ProtocolEngine,
-        )
-
-        with pytest.raises(ValueError):
-            ProtocolEngine(1).estimate_winning_probability(
-                PartialSumChainProtocol(2, 1),
-                trials=0,
-                rng=np.random.default_rng(0),
-            )
 
 
 class TestMomentsEdges:

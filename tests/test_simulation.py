@@ -11,11 +11,7 @@ from repro.model.system import DistributedSystem
 from repro.simulation.engine import MonteCarloEngine
 from repro.simulation.rng import SeedSequenceFactory
 from repro.simulation.runner import sweep_players, sweep_thresholds
-from repro.simulation.statistics import (
-    BinomialSummary,
-    required_samples,
-    wilson_interval,
-)
+from repro.simulation.statistics import BinomialSummary, wilson_interval
 
 
 class TestSeedSequenceFactory:
@@ -117,22 +113,6 @@ class TestWilsonInterval:
             if not lo <= p <= hi:
                 misses += 1
         assert misses == 0
-
-
-class TestRequiredSamples:
-    def test_monotone(self):
-        assert required_samples(0.01) > required_samples(0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            required_samples(0.0)
-        with pytest.raises(ValueError):
-            required_samples(0.6)
-
-    def test_achieves_width(self):
-        n = required_samples(0.02)
-        lo, hi = wilson_interval(n // 2, n)
-        assert (hi - lo) / 2 <= 0.02 * 1.01
 
 
 class TestBinomialSummary:

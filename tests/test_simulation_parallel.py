@@ -231,21 +231,6 @@ class TestEngineIntegration:
             p.simulated for p in b.points
         ]
 
-    def test_adaptive_forwards_workers(self):
-        from repro.simulation.adaptive import estimate_until_precise
-
-        results = [
-            estimate_until_precise(
-                vector_system(),
-                half_width=0.02,
-                engine=MonteCarloEngine(seed=10),
-                workers=workers,
-            )
-            for workers in (1, 2)
-        ]
-        assert results[0].summary == results[1].summary
-        assert results[0].stages == results[1].stages
-
 
 class TestPickleFallbackDiagnostics:
     """The serial fallback for unpicklable work must be *visible*: a
@@ -312,8 +297,8 @@ class TestPickleFallbackDiagnostics:
 
 class TestFaultToleranceForwarding:
     """workers/shards gained a sibling knob: fault_tolerance must flow
-    through sweeps and the adaptive estimator without changing any
-    number (chaos faults included)."""
+    through sweeps without changing any number (chaos faults
+    included)."""
 
     def test_sweep_forwards_fault_tolerance(self):
         from repro.simulation.faulttolerance import (
@@ -338,30 +323,3 @@ class TestFaultToleranceForwarding:
         assert [p.simulated for p in clean.points] == [
             p.simulated for p in chaotic.points
         ]
-
-    def test_adaptive_forwards_fault_tolerance(self):
-        from repro.simulation.adaptive import estimate_until_precise
-        from repro.simulation.faulttolerance import (
-            FaultPlan,
-            FaultToleranceConfig,
-            RetryPolicy,
-        )
-
-        clean = estimate_until_precise(
-            vector_system(),
-            half_width=0.02,
-            engine=MonteCarloEngine(seed=10),
-            workers=2,
-        )
-        chaotic = estimate_until_precise(
-            vector_system(),
-            half_width=0.02,
-            engine=MonteCarloEngine(seed=10),
-            workers=2,
-            fault_tolerance=FaultToleranceConfig(
-                retry=RetryPolicy(max_retries=1, backoff_base=0.0),
-                fault_plan=FaultPlan.single("crash", shard=0),
-            ),
-        )
-        assert clean.summary == chaotic.summary
-        assert clean.stages == chaotic.stages
