@@ -21,10 +21,11 @@ default, required-ness or metavar of their own.
 
 Every subcommand additionally accepts the instrumentation flags
 ``--profile`` (print a metrics/span report to stderr after the run),
-``--metrics-out PATH`` (write the metrics snapshot as JSONL) and
-``--trace-out PATH`` (write a Chrome/Perfetto-loadable trace).  The
-flags only observe: simulated results are bit-identical with and
-without them (see :mod:`repro.observability`).
+``--metrics-out PATH`` (write the run's sealed event log, whose final
+metrics snapshot :func:`~repro.observability.events.reconstruct_metrics`
+replays) and ``--trace-out PATH`` (write a Chrome/Perfetto-loadable
+trace).  The flags only observe: simulated results are bit-identical
+with and without them (see :mod:`repro.observability`).
 
 Caching flags ride on the same shared group: ``--cache-dir DIR``
 attaches the persistent exact-kernel cache (see :mod:`repro.cache`)
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -87,11 +89,7 @@ from repro.observability.events import (
     EventBus,
     counter_samples_from_events,
 )
-from repro.observability.reporting import (
-    render_report,
-    write_chrome_trace,
-    write_metrics_jsonl,
-)
+from repro.observability.reporting import render_report, write_chrome_trace
 from repro.observability.runlog import (
     RunStore,
     RunStoreError,
@@ -198,7 +196,10 @@ _SHARED_FLAGS = (
         type=Path,
         default=None,
         metavar="PATH",
-        help="write the metrics snapshot as JSONL (implies --profile)",
+        help=(
+            "write the run's event log, metrics snapshots included, "
+            "as sealed JSONL (implies --profile)"
+        ),
     ),
     _flag(
         "--trace-out",
@@ -227,8 +228,7 @@ _SHARED_FLAGS = (
         action="store_true",
         help=(
             "stream this run's telemetry events to the run-history "
-            "store and finalise a summary (inspect with "
-            "'repro runs list|show|compare')"
+            "store (inspect with 'repro runs list|show|compare')"
         ),
     ),
     _flag(
@@ -853,6 +853,10 @@ def _run_asymptotic(args: argparse.Namespace) -> int:
 
     if args.alpha is not None and args.beta is not None:
         raise ValidationError("choose --alpha or --beta, not both")
+    if args.delta <= 0:
+        # the library answers P = 0 for a bin that holds nothing; as
+        # a request it is out of range, as on every other command
+        raise ValidationError(f"delta must be positive, got {args.delta}")
     policy = RegimePolicy(method=args.method)
     start = time.perf_counter()
     if args.alpha is not None:
@@ -1081,29 +1085,14 @@ def _run_runs_prune(args: argparse.Namespace) -> int:
             "no external references)"
         ),
     ),
-    _flag(
-        "--bench-root",
-        type=Path,
-        default=Path("."),
-        metavar="DIR",
-        help=(
-            "directory holding the BENCH_*.json lineage rendered as "
-            "sparklines (default: current directory)"
-        ),
-    ),
     telemetry=False,
 )
 def _run_report(args: argparse.Namespace) -> int:
     """``repro report --html``: the self-contained HTML run report."""
-    from repro.observability.htmlreport import (
-        load_bench_history,
-        write_html_report,
-    )
+    from repro.observability.htmlreport import write_html_report
 
     target = write_html_report(
-        args.html,
-        RunStore(args.runs_dir).find(args.run),
-        bench_history=load_bench_history(args.bench_root),
+        args.html, RunStore(args.runs_dir).find(args.run)
     )
     print(f"report written to {target}")
     return 0
@@ -1670,8 +1659,8 @@ def _emit_instrumentation(
 
     The report goes to stderr so stdout stays exactly the command's
     artefact (tables/CSV announcements), pipeable as before.
-    *counter_samples* (from the run's event stream, when one was
-    active) add throughput/cache/batch counter tracks to the trace.
+    *counter_samples* (from the run's ``metrics`` events) add
+    throughput/cache/batch counter tracks to the trace.
     """
     if args.profile:
         print(
@@ -1679,11 +1668,6 @@ def _emit_instrumentation(
             file=sys.stderr,
         )
     if args.metrics_out is not None:
-        write_metrics_jsonl(
-            args.metrics_out,
-            instr.metrics.snapshot(),
-            label=f"repro {args.command}",
-        )
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     if args.trace_out is not None:
         write_chrome_trace(
@@ -1769,24 +1753,31 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not profiled:
         return _dispatch_mapped(args)
     store = RunStore(args.runs_dir) if record_on else None
-    collected: List[dict] = []
-    subscribers: List = [collected.append]
+    snapshots: List[dict] = []
+
+    def keep_snapshot(event: dict) -> None:
+        # only the metrics events feed the trace's counter tracks; a
+        # long-lived server must not hold every request event
+        if event["type"] == "metrics":
+            snapshots.append(event)
+
+    subscribers: List = [keep_snapshot]
     if dashboard_on:
         subscribers.append(Dashboard(stream=sys.stderr))
     with use_instrumentation() as instr:
-        bus = None
-        if dashboard_on or record_on:
-            bus = EventBus(
-                path=(
-                    store.events_path(context)
-                    if store is not None
-                    else None
-                ),
-                context=context,
-                subscribers=subscribers,
-                metrics=instr.metrics,
-            )
-            instr.events = bus
+        # one bus per profiled run: the store's log when recorded, the
+        # --metrics-out file otherwise, else in memory only
+        bus = EventBus(
+            path=(
+                store.events_path(context)
+                if store is not None
+                else args.metrics_out
+            ),
+            context=context,
+            subscribers=subscribers,
+            metrics=instr.metrics,
+        )
+        instr.events = bus
         code: Optional[int] = None
         try:
             with instr.span(f"repro.{args.command}"):
@@ -1794,31 +1785,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         finally:
             # Seal the log even on an unexpected exception; a null
             # exit_code in run_end marks the run as aborted.
-            if bus is not None:
-                instr.events = None
-                bus.close(exit_code=code)
+            instr.events = None
+            bus.emit("spans", spans=instr.tracer.to_json())
+            bus.close(exit_code=code)
+    if store is not None and args.metrics_out is not None:
+        args.metrics_out.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(bus.path, args.metrics_out)
     _emit_instrumentation(
-        instr,
-        args,
-        counter_samples=(
-            counter_samples_from_events(collected) if collected else None
-        ),
+        instr, args, counter_samples=counter_samples_from_events(snapshots)
     )
     if store is not None:
-        artifacts = {}
-        if args.metrics_out is not None:
-            artifacts["metrics"] = str(args.metrics_out)
-        if args.trace_out is not None:
-            artifacts["trace"] = str(args.trace_out)
-        if getattr(args, "checkpoint", None) is not None:
-            artifacts["checkpoint"] = str(args.checkpoint)
-        store.finalize(
-            context, code, instr.metrics.snapshot(), artifacts
-        )
-        print(
-            f"run recorded: {store.root / context.directory_name}",
-            file=sys.stderr,
-        )
+        print(f"run recorded: {bus.path.parent}", file=sys.stderr)
     return code
 
 

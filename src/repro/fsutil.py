@@ -1,12 +1,12 @@
 """Filesystem durability and record-sealing helpers shared by every
 on-disk tier.
 
-The disk cache and run store replace whole files with
-:func:`atomic_write`: write a temp file, flush, ``fsync``, then
-``os.replace`` onto the target.  That sequence makes the *contents*
-durable but not the *name*: POSIX only guarantees the rename itself
-survives a power cut once the containing directory's entry is
-flushed, which takes a second ``fsync`` -- on the directory.
+The disk cache replaces whole files with :func:`atomic_write`: write
+a temp file, flush, ``fsync``, then ``os.replace`` onto the target.
+That sequence makes the *contents* durable but not the *name*: POSIX
+only guarantees the rename itself survives a power cut once the
+containing directory's entry is flushed, which takes a second
+``fsync`` -- on the directory.
 :func:`fsync_directory` is that second fsync, shared so every tier
 (the checkpoint writer too) applies the identical fix.
 

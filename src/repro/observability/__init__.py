@@ -15,7 +15,10 @@ absent.
 * :mod:`~repro.observability.progress` -- trials/sec throughput and
   the per-shard progress callback;
 * :mod:`~repro.observability.reporting` -- the ``--profile`` text
-  report, JSONL metrics export, and the Chrome trace writer.
+  report and the Chrome trace writer;
+* :mod:`~repro.observability.events` -- the run's sealed event log,
+  which ``--metrics-out`` writes and :func:`reconstruct_metrics`
+  replays.
 
 Usage, scoped (preferred)::
 
@@ -57,7 +60,6 @@ from repro.observability.reporting import (
     render_report,
     render_span_tree,
     write_chrome_trace,
-    write_metrics_jsonl,
 )
 from repro.observability.runmeta import (
     RunContext,
@@ -96,7 +98,6 @@ __all__ = [
     "traced",
     "use_instrumentation",
     "write_chrome_trace",
-    "write_metrics_jsonl",
 ]
 
 

@@ -93,8 +93,8 @@ class DashboardState:
             progress = self.streams.setdefault(stream, _StreamProgress())
             progress.completed = int(event.get("completed", 0))
             progress.total = int(event.get("total", 0))
-            progress.trials = int(event.get("trials", 0))
-            progress.wins = int(event.get("wins", 0))
+            progress.trials += int(event.get("trials", 0))
+            progress.wins += int(event.get("wins", 0))
             progress.attempts = max(
                 progress.attempts, int(event.get("attempt", 0))
             )
@@ -154,7 +154,12 @@ class DashboardState:
 
     @property
     def trials(self) -> int:
-        return counter_rates(self.counters)[0]
+        # the shard events and the counters count the same trials; the
+        # counters only arrive with the next metrics snapshot
+        return max(
+            counter_rates(self.counters)[0],
+            sum(stream.trials for stream in self.streams.values()),
+        )
 
     @property
     def throughput(self) -> Optional[float]:

@@ -1,11 +1,9 @@
 """The run-telemetry event bus: one append-only JSONL stream per run.
 
-PR 2 gave the pipeline point-in-time exports (``--metrics-out``,
-``--trace-out``); PR 3 gave shards durable checkpoints.  What was
-missing is the *stream*: one schema'd sequence of events unifying
-shard progress, retry/fault events, cache and batch counters, and
-periodic metrics snapshots -- the substrate the live dashboard renders
-from, the run-history store persists, and the regression gate queries.
+One schema'd sequence of events unifies shard progress, retry/fault
+events, cache and batch counters, periodic metrics snapshots and the
+span tree -- the substrate the live dashboard renders from, the
+run-history store persists and ``--metrics-out`` exports.
 
 Design rules, inherited from the rest of the observability layer:
 
@@ -39,8 +37,14 @@ worker     a remote worker joined or left: action (``connect`` /
 lease      one shard-lease transition: action (``grant`` / ``expire``
            / ``duplicate``), shard, attempt, worker
 metrics    a cumulative snapshot (kind ``periodic`` or ``final``)
-run_end    exit_code plus total elapsed_ns
+spans      the CLI run's span forest (:meth:`~repro.observability.
+           tracing.Tracer.to_json`), emitted once before ``run_end``
+run_end    exit_code and finished_utc
 ========== ==========================================================
+
+A recorded run's log is its only durable record: the run store,
+``--metrics-out``, the dashboard, the HTML report and the Chrome-trace
+counter tracks all read it.
 
 All timestamps are ``t_ns``: integer nanoseconds since the run
 context's monotonic origin.
@@ -70,7 +74,12 @@ from repro.observability.metrics import (
     MetricsSnapshot,
     TimingStats,
 )
-from repro.observability.runmeta import RunContext, current_run, run_header
+from repro.observability.runmeta import (
+    RunContext,
+    current_run,
+    run_header,
+    utc_now_iso,
+)
 
 __all__ = [
     "EVENT_LOG_SCHEMA_VERSION",
@@ -162,9 +171,9 @@ def snapshot_from_payload(payload: Mapping[str, Any]) -> MetricsSnapshot:
 class EventBus:
     """Collects one run's events; optionally persists them as JSONL.
 
-    *path* (optional) is the append-only event log; without one the bus
-    only fans out to subscribers (the dashboard-without-recording
-    case).  *metrics* (optional) attaches a registry: after any
+    *path* (optional) is the run's event log, created (or replaced)
+    when the bus opens; without one the bus only fans out to
+    subscribers.  *metrics* (optional) attaches a registry: after any
     non-metrics event, if *snapshot_interval_seconds* of run time have
     passed since the last snapshot, a cumulative ``metrics`` event is
     emitted automatically -- so long sweeps produce a rate-over-time
@@ -200,7 +209,7 @@ class EventBus:
         if path is not None:
             self._path = Path(path)
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self._path.open("a")
+            self._handle = self._path.open("w")
         self.emit(
             "run_start",
             schema_version=EVENT_LOG_SCHEMA_VERSION,
@@ -222,10 +231,14 @@ class EventBus:
         """How many events this bus has emitted so far."""
         return self._events_emitted
 
-    def subscribe(self, subscriber: EventSubscriber) -> None:
-        """Add a consumer; it sees every event emitted from now on."""
-        with self._lock:
-            self._subscribers.append(subscriber)
+    def _publish_locked(self, event: Dict[str, Any]) -> None:
+        """Write, count and fan out one event (caller holds the lock)."""
+        if self._handle is not None:
+            self._handle.write(_sealed_line(event))
+            self._handle.flush()
+        self._events_emitted += 1
+        for subscriber in self._subscribers:
+            subscriber(event)
 
     def emit(self, event_type: str, **payload: Any) -> Dict[str, Any]:
         """Record one event; returns the event dict as written.
@@ -243,15 +256,10 @@ class EventBus:
                 "t_ns": self._context.elapsed_ns(),
                 **payload,
             }
-            if self._handle is not None:
-                self._handle.write(_sealed_line(event))
-                self._handle.flush()
-            self._events_emitted += 1
-            for subscriber in list(self._subscribers):
-                subscriber(event)
+            self._publish_locked(event)
             if (
                 self._metrics is not None
-                and event_type not in ("metrics", "run_end")
+                and event_type != "metrics"
                 and event["t_ns"] - self._last_snapshot_ns
                 >= self._snapshot_interval_ns
             ):
@@ -261,18 +269,14 @@ class EventBus:
     def _emit_metrics_locked(self, kind: str) -> None:
         snapshot = self._metrics.snapshot()
         self._last_snapshot_ns = self._context.elapsed_ns()
-        event = {
-            "type": "metrics",
-            "t_ns": self._last_snapshot_ns,
-            "kind": kind,
-            "snapshot": snapshot_to_payload(snapshot),
-        }
-        if self._handle is not None:
-            self._handle.write(_sealed_line(event))
-            self._handle.flush()
-        self._events_emitted += 1
-        for subscriber in list(self._subscribers):
-            subscriber(event)
+        self._publish_locked(
+            {
+                "type": "metrics",
+                "t_ns": self._last_snapshot_ns,
+                "kind": kind,
+                "snapshot": snapshot_to_payload(snapshot),
+            }
+        )
 
     def emit_metrics(self, kind: str = "periodic") -> None:
         """Emit a cumulative metrics snapshot now (no-op without an
@@ -286,29 +290,28 @@ class EventBus:
         """Emit the final snapshot and ``run_end``, then seal the log.
 
         Idempotent; the final ``metrics`` event (kind ``"final"``) is
-        what :func:`reconstruct_metrics` replays.
+        what :func:`reconstruct_metrics` replays.  A null *exit_code*
+        marks a run aborted by an exception.
         """
         with self._lock:
             if self._closed:
                 return
             if self._metrics is not None:
                 self._emit_metrics_locked("final")
-            event = {
-                "type": "run_end",
-                "t_ns": self._context.elapsed_ns(),
-                "exit_code": exit_code,
-                "events": self._events_emitted,
-            }
+            self._publish_locked(
+                {
+                    "type": "run_end",
+                    "t_ns": self._context.elapsed_ns(),
+                    "exit_code": exit_code,
+                    "finished_utc": utc_now_iso(),
+                    "events": self._events_emitted,
+                }
+            )
+            self._closed = True
             if self._handle is not None:
-                self._handle.write(_sealed_line(event))
-                self._handle.flush()
                 os.fsync(self._handle.fileno())
                 self._handle.close()
                 self._handle = None
-            self._events_emitted += 1
-            for subscriber in list(self._subscribers):
-                subscriber(event)
-            self._closed = True
 
     def __enter__(self) -> "EventBus":
         """Context-manager entry: the bus itself."""
@@ -357,7 +360,9 @@ def read_events(path: Union[str, Path]) -> EventLogRead:
     Corrupt lines -- torn writes, flipped bytes, truncation -- fail to
     decode or fail their checksum and are skipped (counted in
     ``corrupt_lines``), never fatal: telemetry must degrade, not
-    block.  A missing file raises ``OSError`` like any other read.
+    block.  A line counts once its newline is written, so a final line
+    cut anywhere, even just before its newline, is torn.  A missing
+    file raises ``OSError`` like any other read.
     """
     target = Path(path)
     events: List[Dict[str, Any]] = []
@@ -366,7 +371,7 @@ def read_events(path: Union[str, Path]) -> EventLogRead:
         for line in handle:
             if not line.strip():
                 continue
-            event = _open_line(line)
+            event = _open_line(line) if line.endswith(b"\n") else None
             if event is None or "type" not in event:
                 corrupt += 1
                 continue

@@ -1,27 +1,28 @@
 """A self-contained static HTML report for one recorded run.
 
-``repro report --html`` renders everything the run store knows about a
-run -- identity, exit status, final metrics, timing histograms, the
-rate series the dashboard showed live, and (when the run recorded a
-Chrome trace artifact) the span tree -- into one file with inline CSS
-and inline SVG.  No scripts are fetched, no CDN is touched, nothing
-external is referenced: the file can be archived as a CI artifact and
-opened years later, offline, exactly as written.
-
-Bench lineage sparklines come from the committed ``BENCH_*.json``
-artifacts: every numeric field that appears in at least two lineage
-entries becomes a small inline SVG polyline, so a report shows at a
-glance whether the cache and batch speedups have been drifting across
-PRs.
+``repro report --html`` renders everything a run's event log holds --
+identity, exit status, final metrics, timing histograms, the rate
+series the dashboard showed live, and the span tree of its ``spans``
+event -- into one file with inline CSS and inline SVG.  No scripts are
+fetched, no CDN is touched, nothing external is referenced: the file
+can be archived as a CI artifact and opened years later, offline,
+exactly as written.  It reads no file but the log.
 """
 
 from __future__ import annotations
 
 import html
-import json
-import re
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.observability.events import (
     EventLogRead,
@@ -32,39 +33,10 @@ from repro.observability.events import (
 from repro.observability.runlog import RunSummary
 
 __all__ = [
-    "load_bench_history",
     "render_html_report",
     "sparkline_svg",
     "write_html_report",
 ]
-
-_BENCH_PATTERN = re.compile(r"BENCH_(\d+)\.json$")
-
-
-def load_bench_history(
-    root: Union[str, Path] = ".",
-) -> List[Tuple[str, Dict[str, Any]]]:
-    """The committed bench lineage, oldest first.
-
-    Returns ``(name, payload)`` pairs for every parseable
-    ``BENCH_<k>.json`` under *root*, ordered by ``k``.  Unparseable
-    artifacts are skipped, not fatal -- the report degrades to fewer
-    sparklines.
-    """
-    entries = []
-    for path in Path(root).glob("BENCH_*.json"):
-        match = _BENCH_PATTERN.search(path.name)
-        if not match:
-            continue
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(payload, dict):
-            entries.append((int(match.group(1)), path.name, payload))
-    entries.sort()
-    return [(name, payload) for _, name, payload in entries]
-
 
 def sparkline_svg(
     values: Sequence[float],
@@ -110,46 +82,20 @@ def sparkline_svg(
 
 
 # ---------------------------------------------------------------------------
-# Span tree from a recorded Chrome trace artifact
+# Span tree from the log's ``spans`` event
 # ---------------------------------------------------------------------------
 
+#: Span rows rendered before the tree is cut off.
+_MAX_SPAN_ROWS = 400
 
-def _span_tree_from_trace(path: Path) -> List[Dict[str, Any]]:
-    """Rebuild span nesting from a ``--trace-out`` artifact.
 
-    Chrome ``"X"`` (complete) events carry ``ts``/``dur`` in
-    microseconds; nesting is containment, recovered with a stack over
-    events sorted by start time.  Returns a forest of
-    ``{"name", "dur_us", "depth"}`` rows in render order; empty on any
-    damage (missing file, bad JSON) -- the report just omits the
-    section.
-    """
-    try:
-        payload = json.loads(path.read_text())
-        events = [
-            e
-            for e in payload.get("traceEvents", [])
-            if e.get("ph") == "X"
-        ]
-    except (OSError, json.JSONDecodeError, AttributeError):
-        return []
-    events.sort(key=lambda e: (e.get("ts", 0), -e.get("dur", 0)))
-    rows: List[Dict[str, Any]] = []
-    stack: List[Tuple[float, float]] = []  # (start, end) of open spans
-    for event in events:
-        start = float(event.get("ts", 0))
-        end = start + float(event.get("dur", 0))
-        while stack and start >= stack[-1][1]:
-            stack.pop()
-        rows.append(
-            {
-                "name": str(event.get("name", "?")),
-                "dur_us": float(event.get("dur", 0)),
-                "depth": len(stack),
-            }
-        )
-        stack.append((start, end))
-    return rows
+def _span_rows(
+    spans: Iterable[Mapping[str, Any]], depth: int = 0
+) -> Iterable[Tuple[int, Mapping[str, Any]]]:
+    """``(depth, span)`` pairs of a span forest, depth first."""
+    for span in spans:
+        yield depth, span
+        yield from _span_rows(span.get("children", ()), depth + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +138,11 @@ def _kv_table(rows: Sequence[Tuple[str, str]]) -> str:
 def render_html_report(
     run: RunSummary,
     events: Optional[EventLogRead] = None,
-    bench_history: Optional[
-        Sequence[Tuple[str, Mapping[str, Any]]]
-    ] = None,
 ) -> str:
     """The full report document as an HTML string.
 
-    *events* defaults to reading the run's own log; *bench_history*
-    defaults to none (pass :func:`load_bench_history` output to get
-    the lineage sparklines).  Every section tolerates absent data by
-    disappearing rather than erroring.
+    *events* defaults to reading the run's own log.  Every section
+    tolerates absent data by disappearing rather than erroring.
     """
     if events is None:
         try:
@@ -293,73 +234,28 @@ def render_html_report(
             + "</table>"
         )
 
-    trace_rows: List[Dict[str, Any]] = []
-    summary_path = run.directory / "run.json"
-    try:
-        artifacts = json.loads(summary_path.read_text()).get(
-            "artifacts", {}
-        )
-    except (OSError, json.JSONDecodeError, AttributeError):
-        artifacts = {}
-    trace_name = artifacts.get("trace") if isinstance(artifacts, dict) else None
-    if trace_name:
-        trace_path = Path(trace_name)
-        if not trace_path.is_absolute():
-            trace_path = run.directory / trace_path
-        trace_rows = _span_tree_from_trace(trace_path)
-    if trace_rows:
+    span_events = events.of_type("spans")
+    span_rows = list(
+        _span_rows(span_events[-1].get("spans", ()) if span_events else ())
+    )
+    if span_rows:
         rows = "".join(
             "<tr><td class='mono span-name'>"
-            f"{_esc('  ' * row['depth'] + row['name'])}</td>"
-            f"<td class='num'>{row['dur_us'] / 1e6:.4f}</td></tr>"
-            for row in trace_rows[:400]
+            f"{_esc('  ' * depth + str(span.get('name', '?')))}</td>"
+            f"<td class='num'>{(span.get('duration_us') or 0) / 1e6:.4f}"
+            "</td></tr>"
+            for depth, span in span_rows[:_MAX_SPAN_ROWS]
         )
         more = (
-            f"<p class='muted'>... {len(trace_rows) - 400} more "
+            f"<p class='muted'>... {len(span_rows) - _MAX_SPAN_ROWS} more "
             "span(s)</p>"
-            if len(trace_rows) > 400
+            if len(span_rows) > _MAX_SPAN_ROWS
             else ""
         )
         sections.append(
             "<h2>Span tree</h2><table><tr><th>span</th>"
             f"<th>seconds</th></tr>{rows}</table>{more}"
         )
-
-    if bench_history:
-        keys: List[str] = []
-        for _, payload in bench_history:
-            for key, value in payload.items():
-                if (
-                    isinstance(value, (int, float))
-                    and not isinstance(value, bool)
-                    and key not in keys
-                ):
-                    keys.append(key)
-        bench_rows = []
-        for key in keys:
-            points = [
-                (name, payload[key])
-                for name, payload in bench_history
-                if isinstance(payload.get(key), (int, float))
-                and not isinstance(payload.get(key), bool)
-            ]
-            if len(points) < 2:
-                continue
-            values = [value for _, value in points]
-            bench_rows.append(
-                f"<tr><td class='mono'>{_esc(key)}</td>"
-                f"<td>{sparkline_svg(values)}</td>"
-                f"<td class='num mono'>{values[-1]:,.4g}</td>"
-                f"<td class='muted'>{_esc(points[0][0])} &rarr; "
-                f"{_esc(points[-1][0])}</td></tr>"
-            )
-        if bench_rows:
-            sections.append(
-                "<h2>Bench lineage</h2><table><tr><th>metric</th>"
-                "<th>trend</th><th>latest</th><th>range</th></tr>"
-                + "".join(bench_rows)
-                + "</table>"
-            )
 
     body = "\n".join(sections)
     return (
@@ -375,14 +271,9 @@ def write_html_report(
     path: Union[str, Path],
     run: RunSummary,
     events: Optional[EventLogRead] = None,
-    bench_history: Optional[
-        Sequence[Tuple[str, Mapping[str, Any]]]
-    ] = None,
 ) -> Path:
     """Render and write the report; returns the path written."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        render_html_report(run, events, bench_history)
-    )
+    target.write_text(render_html_report(run, events))
     return target

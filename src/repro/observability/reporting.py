@@ -1,20 +1,19 @@
 """Render and export collected telemetry.
 
-Three outputs from one instrumented run:
+Two outputs from one instrumented run:
 
 * :func:`render_report` -- the human-readable run report printed by
   every CLI subcommand's ``--profile`` flag: counters, gauges, timing
   histograms, aggregate throughput, and the span tree;
-* :func:`write_metrics_jsonl` -- one JSON object per line (a ``meta``
-  header line, then one line per counter/gauge/timing), the format
-  behind ``--metrics-out``;
 * :func:`write_chrome_trace` -- the span forest as a Chrome trace-event
   file (``{"traceEvents": [...]}``), the format behind ``--trace-out``,
   loadable in ``chrome://tracing`` or Perfetto.
 
 Only the rendering lives here; all collection is in
 :mod:`~repro.observability.metrics` and
-:mod:`~repro.observability.tracing`.
+:mod:`~repro.observability.tracing`.  The metrics export behind
+``--metrics-out`` is the run's event log itself
+(:mod:`~repro.observability.events`).
 """
 
 from __future__ import annotations
@@ -33,16 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
 
 __all__ = [
     "FAILURE_COUNTERS",
-    "METRICS_JSONL_SCHEMA_VERSION",
     "chrome_counter_events",
     "render_failure_section",
     "render_report",
     "render_span_tree",
     "write_chrome_trace",
-    "write_metrics_jsonl",
 ]
-
-METRICS_JSONL_SCHEMA_VERSION = 1
 
 #: Counters recorded by the fault-tolerant sharded executor.  Each maps
 #: to the one-line gloss shown in the report's failure section; the
@@ -191,73 +186,6 @@ def render_report(
     if len(lines) == 1:
         lines.append("(nothing recorded)")
     return "\n".join(lines)
-
-
-def write_metrics_jsonl(
-    path: Union[str, Path],
-    snapshot: MetricsSnapshot,
-    label: Optional[str] = None,
-) -> Path:
-    """Write a snapshot as JSONL; returns the path written.
-
-    Line 1 is a ``{"type": "meta", ...}`` header carrying the common
-    run stamp (run id, ISO-8601 UTC start time, repro version, argv --
-    see :func:`repro.observability.runmeta.run_header`), so the export
-    is joinable with every other artifact of the same run; every
-    further line is one metric.  Timing durations are exported in
-    integer nanoseconds, exactly as accumulated.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w") as handle:
-        header = {
-            "type": "meta",
-            "schema_version": METRICS_JSONL_SCHEMA_VERSION,
-            **run_header(),
-        }
-        if label is not None:
-            header["label"] = label
-        handle.write(json.dumps(header) + "\n")
-        for name in sorted(snapshot.counters):
-            handle.write(
-                json.dumps(
-                    {
-                        "type": "counter",
-                        "name": name,
-                        "value": snapshot.counters[name],
-                    }
-                )
-                + "\n"
-            )
-        for name in sorted(snapshot.gauges):
-            handle.write(
-                json.dumps(
-                    {
-                        "type": "gauge",
-                        "name": name,
-                        "value": snapshot.gauges[name],
-                    }
-                )
-                + "\n"
-            )
-        for name in sorted(snapshot.timings):
-            stats = snapshot.timings[name]
-            handle.write(
-                json.dumps(
-                    {
-                        "type": "timing",
-                        "name": name,
-                        "count": stats.count,
-                        "total_ns": stats.total_ns,
-                        "min_ns": stats.min_ns,
-                        "max_ns": stats.max_ns,
-                        "bucket_bounds_ns": list(stats.bucket_bounds_ns),
-                        "bucket_counts": list(stats.bucket_counts),
-                    }
-                )
-                + "\n"
-            )
-    return target
 
 
 #: The Chrome counter tracks rendered from telemetry rate samples:

@@ -4,43 +4,35 @@ One directory per run under the store root (default ``.repro/runs``,
 overridable via ``--runs-dir`` / ``REPRO_RUNS_DIR``)::
 
     .repro/runs/<utc>-<run_id>/
-        events.jsonl   the append-only event log (sealed lines)
-        run.json       the finalised summary (fsutil.atomic_write)
+        events.jsonl   the sealed event log, the run's only record
 
 ``events.jsonl`` is written live by the :class:`~repro.observability.
-events.EventBus` while the run executes; ``run.json`` is written once,
-at the end, with the storage discipline of the cache/results-store
-tiers (:func:`repro.fsutil.atomic_write`) so a crash leaves either
-a complete summary or none -- a directory with events but no summary
+events.EventBus` while the run executes, and every
+:class:`RunSummary` is read back from it: ``run_start`` carries the
+run's identity, ``run_end`` its exit code, elapsed time and finish
+time.  A log without an intact ``run_end`` carrying an exit code -- a
+run killed mid-flight, a torn tail, a run aborted by an exception --
 is an *incomplete* run, listed as such rather than hidden.
 
 The store is an accelerator for humans (``repro runs list|show|
-compare|prune``, the HTML report, the regression gate's telemetry
-input); nothing in the computation pipeline depends on it, and every
-reader tolerates damage: a corrupt ``run.json`` or a torn event tail
-degrades to less detail, never an error.
+compare|prune``, the HTML report); nothing in the computation pipeline
+depends on it, and every reader tolerates damage: a corrupt or torn
+event line degrades to less detail, never an error.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from repro.fsutil import atomic_write
-from repro.observability.events import (
-    read_events,
-    reconstruct_metrics,
-    snapshot_to_payload,
-)
+from repro.observability.events import read_events, reconstruct_metrics
 from repro.observability.metrics import MetricsSnapshot
-from repro.observability.runmeta import RunContext, utc_now_iso
+from repro.observability.runmeta import RunContext
 
 __all__ = [
-    "RUN_SUMMARY_SCHEMA_VERSION",
     "RunStore",
     "RunStoreError",
     "RunSummary",
@@ -50,10 +42,7 @@ __all__ = [
     "render_run",
 ]
 
-RUN_SUMMARY_SCHEMA_VERSION = 1
-
 _EVENTS_NAME = "events.jsonl"
-_SUMMARY_NAME = "run.json"
 
 
 class RunStoreError(RuntimeError):
@@ -68,12 +57,12 @@ def default_runs_root() -> Path:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """One run as the store knows it.
+    """One run as its event log tells it.
 
-    ``complete`` distinguishes a finalised run (``run.json`` present
-    and intact) from one that only got as far as streaming events --
-    an interrupted run is still listable, comparable and reportable
-    from its event log alone.
+    ``complete`` distinguishes a finished run (an intact ``run_end``
+    with an exit code) from one that only got as far as streaming
+    events -- an interrupted run is still listable, comparable and
+    reportable from what its log kept.
     """
 
     run_id: str
@@ -100,18 +89,35 @@ class RunSummary:
             return None
 
 
-def _finalize_in_progress(directory: Path) -> bool:
-    """Whether another process is mid-finalize in *directory* (the
-    ``.run.json.*.tmp`` temp file of :meth:`RunStore.finalize`, an
-    older ``.run.*.tmp``, or the legacy ``run.json.tmp`` name, still
-    exists)."""
+def _directory_run_id(directory: Path) -> str:
+    """The run id a run directory's name ends with."""
+    return directory.name.rsplit("-", 1)[-1]
+
+
+def _summary_from_directory(directory: Path) -> RunSummary:
+    """A run's summary from its event log alone (the directory name's
+    id when even the ``run_start`` header is lost)."""
+    run_id = _directory_run_id(directory)
     try:
-        if any(directory.glob(".run.*.tmp")):
-            return True
-        return (directory / "run.json.tmp").exists()
+        log = read_events(directory / _EVENTS_NAME)
     except OSError:
-        # unreadable directory: err on the side of not deleting
-        return True
+        return RunSummary(run_id=run_id, directory=directory)
+    header = log.header or {}
+    ends = log.of_type("run_end")
+    end = ends[-1] if ends else {}
+    exit_code = end.get("exit_code")
+    return RunSummary(
+        run_id=str(header.get("run_id", run_id)),
+        directory=directory,
+        command=str(header.get("command", "")),
+        argv=tuple(header.get("argv", ())),
+        version=str(header.get("version", "")),
+        started_utc=str(header.get("started_utc", "")),
+        finished_utc=str(end.get("finished_utc", "")),
+        elapsed_seconds=end["t_ns"] / 1e9 if "t_ns" in end else None,
+        exit_code=exit_code,
+        complete=exit_code is not None,
+    )
 
 
 class RunStore:
@@ -127,153 +133,67 @@ class RunStore:
         """The store's root directory."""
         return self._root
 
-    def run_directory(self, context: RunContext) -> Path:
-        """The (created) directory a recording run writes into."""
+    def events_path(self, context: RunContext) -> Path:
+        """Where the run's event bus should write (its directory is
+        created)."""
         directory = self._root / context.directory_name
         directory.mkdir(parents=True, exist_ok=True)
-        return directory
+        return directory / _EVENTS_NAME
 
-    def events_path(self, context: RunContext) -> Path:
-        """Where the run's event bus should append."""
-        return self.run_directory(context) / _EVENTS_NAME
-
-    def finalize(
-        self,
-        context: RunContext,
-        exit_code: int,
-        snapshot: Optional[MetricsSnapshot] = None,
-        artifacts: Optional[Dict[str, str]] = None,
-    ) -> Path:
-        """Write the run's ``run.json`` atomically; returns its path.
-
-        *artifacts* maps artifact names to paths (metrics export,
-        trace, checkpoint) so ``repro runs show`` can point back at
-        everything the run produced.
-        """
-        directory = self.run_directory(context)
-        payload: Dict[str, Any] = {
-            "schema_version": RUN_SUMMARY_SCHEMA_VERSION,
-            "run_id": context.run_id,
-            "command": context.command,
-            "argv": list(context.argv),
-            "version": context.version,
-            "started_utc": context.started_utc,
-            "finished_utc": utc_now_iso(),
-            "elapsed_seconds": context.elapsed_ns() / 1e9,
-            "exit_code": int(exit_code),
-            "artifacts": dict(artifacts or {}),
-        }
-        if snapshot is not None:
-            payload["metrics"] = snapshot_to_payload(snapshot)
-        return atomic_write(
-            directory / _SUMMARY_NAME,
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
-
-    def _summary_from_directory(self, directory: Path) -> RunSummary:
-        summary_path = directory / _SUMMARY_NAME
+    def _directories(self) -> List[Path]:
+        """Every run directory, oldest first (names start with the
+        compact UTC start time, end with the run id)."""
         try:
-            payload = json.loads(summary_path.read_text())
-            if not isinstance(payload, dict):
-                raise ValueError("run.json is not an object")
-            return RunSummary(
-                run_id=str(payload.get("run_id", directory.name)),
-                directory=directory,
-                command=str(payload.get("command", "")),
-                argv=tuple(payload.get("argv", [])),
-                version=str(payload.get("version", "")),
-                started_utc=str(payload.get("started_utc", "")),
-                finished_utc=str(payload.get("finished_utc", "")),
-                elapsed_seconds=payload.get("elapsed_seconds"),
-                exit_code=payload.get("exit_code"),
-                complete=True,
-            )
-        except (OSError, ValueError, json.JSONDecodeError):
-            # incomplete or damaged: recover what the dir name and the
-            # event-log header still carry
-            run_id = directory.name.rsplit("-", 1)[-1]
-            command = ""
-            started = ""
-            try:
-                header = read_events(directory / _EVENTS_NAME).header
-                if header is not None:
-                    run_id = str(header.get("run_id", run_id))
-                    command = str(header.get("command", ""))
-                    started = str(header.get("started_utc", ""))
-            except OSError:
-                pass
-            return RunSummary(
-                run_id=run_id,
-                directory=directory,
-                command=command,
-                started_utc=started,
-                complete=False,
-            )
-
-    def list_runs(self) -> List[RunSummary]:
-        """Every recorded run, oldest first (directory-name order --
-        names start with the compact UTC start time)."""
-        try:
-            directories = sorted(
-                child
-                for child in self._root.iterdir()
-                if child.is_dir()
+            return sorted(
+                child for child in self._root.iterdir() if child.is_dir()
             )
         except OSError:
             return []
+
+    def list_runs(self) -> List[RunSummary]:
+        """Every recorded run, oldest first."""
         return [
-            self._summary_from_directory(child) for child in directories
+            _summary_from_directory(directory)
+            for directory in self._directories()
         ]
 
     def find(self, reference: str) -> RunSummary:
         """Resolve one run by id prefix, directory-name prefix, or the
-        special reference ``"latest"``."""
-        runs = self.list_runs()
-        if not runs:
+        special reference ``"latest"``; only that run's log is read."""
+        directories = self._directories()
+        if not directories:
             raise RunStoreError(
                 f"no recorded runs under {self._root} (record one with "
                 "--record-run)"
             )
         if reference == "latest":
-            return runs[-1]
+            return _summary_from_directory(directories[-1])
         matches = [
-            run
-            for run in runs
-            if run.run_id.startswith(reference)
-            or run.directory.name.startswith(reference)
+            directory
+            for directory in directories
+            if directory.name.startswith(reference)
+            or _directory_run_id(directory).startswith(reference)
         ]
         if not matches:
             raise RunStoreError(
                 f"no run matches {reference!r} under {self._root}"
             )
         if len(matches) > 1:
-            names = ", ".join(run.run_id for run in matches)
+            names = ", ".join(map(_directory_run_id, matches))
             raise RunStoreError(
                 f"{reference!r} is ambiguous: matches {names}"
             )
-        return matches[0]
+        return _summary_from_directory(matches[0])
 
     def prune(self, keep: int) -> int:
-        """Delete the oldest runs beyond *keep*; returns how many.
-
-        A directory holding a live finalisation temp file (the
-        ``.run.*.tmp`` that :meth:`finalize` renames into place)
-        belongs to a run that is *finishing right now* in another
-        process; deleting it would race the rename, so such
-        directories are skipped -- they become prunable on the next
-        invocation, once their ``run.json`` has landed.
-        """
+        """Delete the oldest runs beyond *keep*; returns how many."""
         if keep < 0:
             raise ValueError(f"keep must be >= 0, got {keep}")
-        runs = self.list_runs()
-        victims = runs[: max(0, len(runs) - keep)]
-        removed = 0
-        for run in victims:
-            if _finalize_in_progress(run.directory):
-                continue
-            shutil.rmtree(run.directory, ignore_errors=True)
-            removed += 1
-        return removed
+        directories = self._directories()
+        victims = directories[: max(0, len(directories) - keep)]
+        for directory in victims:
+            shutil.rmtree(directory, ignore_errors=True)
+        return len(victims)
 
 
 # ---------------------------------------------------------------------------

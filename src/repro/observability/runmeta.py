@@ -4,9 +4,9 @@ The PR-3 checkpoint machinery fingerprints one *sharded call* (root
 seed, stream, shard plan, system digest), which is exactly right for
 deciding whether two shard results are interchangeable -- but too fine
 for joining the artifacts of one CLI invocation: a ``repro validate``
-run produces one metrics export, one trace, possibly a checkpoint and
-an event log, and they should all carry the same identity so the run
-store can collect them and ``repro runs compare`` can line two runs up.
+run produces an event log, one trace and possibly a checkpoint, and
+they should all carry the same identity so ``repro runs compare`` can
+line two runs up.
 
 :class:`RunContext` is that identity: a short SHA-256-derived run id
 plus the facts worth joining on (ISO-8601 UTC start time, repro
@@ -158,9 +158,10 @@ def run_header(context: Optional[RunContext] = None) -> Dict[str, Any]:
     """The common stamp shared by every exported artifact.
 
     One dict -- run id, ISO-8601 UTC start time, repro version, argv --
-    embedded in the metrics JSONL meta line, the Chrome trace metadata,
-    the checkpoint header and the event-log header, so any two
-    artifacts of one run are joinable on ``run_id``.
+    embedded in the event log's ``run_start`` (and so in the
+    ``--metrics-out`` file), the Chrome trace metadata and the
+    checkpoint header, so any two artifacts of one run are joinable on
+    ``run_id``.
     """
     ctx = current_run() if context is None else context
     return {

@@ -697,9 +697,10 @@ class TestCachePruneCli:
 
 class TestAtomicWrite:
     """Every store that writes through ``repro.fsutil.atomic_write``
-    survives a crash between writing the temp file and the rename."""
+    survives a crash between writing the temp file and the rename.
+    The disk cache is the one such store."""
 
-    @pytest.mark.parametrize("store", ["run-store", "disk-cache"])
+    @pytest.mark.parametrize("store", ["disk-cache"])
     def test_every_writer_replaces_atomically(
         self, tmp_path, monkeypatch, store
     ):
@@ -707,36 +708,17 @@ class TestAtomicWrite:
         # original must survive, with no litter
         import os
 
-        from repro.observability.runlog import RunStore
-        from repro.observability.runmeta import new_run_context
-
-        if store == "run-store":
-            runs = RunStore(tmp_path)
-            context = new_run_context(command="validate", argv=["validate"])
-            path = runs.finalize(context, 0)
-
-            def rewrite():
-                runs.finalize(context, 1)
-
-        else:
-            cache = DiskCache(tmp_path)
-            cache.put("k" * 64, "fingerprint", "kernel", 1)
-            (path,) = tmp_path.iterdir()
-
-            def rewrite():
-                cache.put("k" * 64, "fingerprint", "kernel", 2)
-
+        cache = DiskCache(tmp_path)
+        cache.put("k" * 64, "fingerprint", "kernel", 1)
+        (path,) = tmp_path.iterdir()
         before = path.read_text()
 
         def crash(source, target):
             raise OSError("simulated crash before the rename")
 
         monkeypatch.setattr(os, "replace", crash)
-        if store == "disk-cache":
-            rewrite()  # the disk tier treats a failed write as a no-op
-        else:
-            with pytest.raises(OSError):
-                rewrite()
+        # the disk tier treats a failed write as a no-op
+        cache.put("k" * 64, "fingerprint", "kernel", 2)
         monkeypatch.undo()
         assert path.read_text() == before
         assert [p.name for p in path.parent.iterdir()] == [path.name]

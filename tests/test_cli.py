@@ -232,8 +232,16 @@ class TestOutOfRangeFlags:
             ["validate", "--grid-size", "2", "--trials", "100"],
             ["sweep"],
             ["sweep", "--batch"],
+            ["asymptotic", "--n", "10", "--beta", "1/2"],
+            ["asymptotic", "--n", "10", "--alpha", "1/2"],
         ],
-        ids=["validate", "sweep", "sweep-batch"],
+        ids=[
+            "validate",
+            "sweep",
+            "sweep-batch",
+            "asymptotic-beta",
+            "asymptotic-alpha",
+        ],
     )
     def test_non_positive_delta_rejected_with_exit_2(self, capsys, argv):
         # one typed rejection on every sweep path: no traceback from

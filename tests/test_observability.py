@@ -35,9 +35,8 @@ from repro.observability import (
     traced,
     use_instrumentation,
     write_chrome_trace,
-    write_metrics_jsonl,
 )
-from repro.observability.reporting import METRICS_JSONL_SCHEMA_VERSION
+from repro.observability.events import read_events
 from repro.simulation.engine import MonteCarloEngine
 from repro.simulation.parallel import estimate_winning_probability_sharded
 from repro.simulation.rng import SeedSequenceFactory
@@ -500,29 +499,6 @@ class TestReporting:
         assert "l0" in text and "l1" in text
         assert "l2" not in text
 
-    def test_metrics_jsonl(self, tmp_path):
-        instr = self.instrumented_run()
-        path = tmp_path / "metrics.jsonl"
-        write_metrics_jsonl(
-            path, instr.metrics.snapshot(), label="unit"
-        )
-        lines = [
-            json.loads(line)
-            for line in path.read_text().splitlines()
-        ]
-        meta = lines[0]
-        assert meta["type"] == "meta"
-        assert meta["schema_version"] == METRICS_JSONL_SCHEMA_VERSION
-        assert meta["label"] == "unit"
-        by_type = {}
-        for line in lines[1:]:
-            by_type.setdefault(line["type"], []).append(line)
-        counter_names = {c["name"] for c in by_type["counter"]}
-        assert "shard.trials" in counter_names
-        for timing in by_type["timing"]:
-            assert timing["count"] >= 1
-            assert isinstance(timing["total_ns"], int)
-
     def test_chrome_trace_file(self, tmp_path):
         instr = self.instrumented_run()
         path = tmp_path / "trace.json"
@@ -574,18 +550,13 @@ class TestCliInstrumentation:
         assert trace_path.exists()
         trace = json.loads(trace_path.read_text())
         assert trace["traceEvents"]
-        first = json.loads(
-            metrics_path.read_text().splitlines()[0]
-        )
-        assert first["type"] == "meta"
-        assert first["schema_version"] == METRICS_JSONL_SCHEMA_VERSION
-        assert first["label"] == "repro validate"
-        # The meta line now carries the common run stamp so the export
-        # is joinable with the trace, checkpoint and event log.
-        assert first["command"] == "validate"
-        assert len(first["run_id"]) == 16
-        assert first["started_utc"].endswith("Z")
-        assert trace["metadata"]["run_id"] == first["run_id"]
+        # The export is the run's event log: its header carries the
+        # common run stamp, so it joins with the trace and checkpoint.
+        header = read_events(metrics_path).header
+        assert header["command"] == "validate"
+        assert len(header["run_id"]) == 16
+        assert header["started_utc"].endswith("Z")
+        assert trace["metadata"]["run_id"] == header["run_id"]
 
     def test_every_subcommand_accepts_flags(self, capsys, tmp_path):
         """The flag group is attached to all subcommands, not just the

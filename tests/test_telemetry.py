@@ -7,8 +7,8 @@ Four contracts, mirroring the subsystem's design:
   dashboard on or off;
 * **non-interference** -- telemetry observes; simulated results are
   bit-identical with any combination of bus/dashboard/recording;
-* **damage tolerance** -- truncated or corrupted logs, torn ``run.json``
-  files and missing artifacts degrade to less detail, never an error;
+* **damage tolerance** -- truncated or corrupted logs, including a
+  torn ``run_end``, degrade to less detail, never an error;
 * **gatekeeping** -- ``repro bench compare`` passes the committed
   lineage and fails (exit 7) on a degraded candidate.
 """
@@ -456,6 +456,34 @@ class TestDashboard:
         assert "faults 1" in joined
         assert "done  exit=0" in joined
 
+    def test_trials_sum_the_shard_events(self):
+        """Each stream shows its trial total, not its last shard, and
+        the run total does not wait for the next metrics snapshot."""
+        sink = io.StringIO()
+        dashboard = Dashboard(stream=sink, interactive=False)
+        for stream in ("beta=0", "beta=1"):
+            for index in range(4):
+                dashboard(
+                    {"type": "shard", "t_ns": 1, "stream": stream,
+                     "index": index, "trials": 1_250, "wins": 500,
+                     "completed": index + 1, "total": 4}
+                )
+        # a snapshot taken before the last shards landed lags behind
+        dashboard(
+            {"type": "metrics", "t_ns": 2, "kind": "periodic",
+             "snapshot": {"counters": {"shard.trials": 2_500},
+                          "gauges": {}, "timings": {}}}
+        )
+        dashboard({"type": "point", "t_ns": 3, "label": "beta=1",
+                   "index": 1, "total": 2})
+        state = dashboard.state
+        assert [s.trials for s in state.streams.values()] == [5_000] * 2
+        assert [s.wins for s in state.streams.values()] == [2_000] * 2
+        assert state.trials == 10_000
+        joined = "\n".join(render_dashboard(state))
+        assert "4/4 shards         5,000 trials" in joined
+        assert "trials=10,000" in sink.getvalue()
+
     def test_state_bounds_stream_lines(self):
         state = DashboardState()
         for i in range(50):
@@ -485,7 +513,6 @@ def _record_run(store: RunStore, command: str, trials: int):
     registry.increment("shard.trials", trials)
     bus.emit("shard", stream="s", index=0, trials=trials, wins=1)
     bus.close(exit_code=0)
-    store.finalize(context, 0, registry.snapshot())
     return context
 
 
@@ -511,17 +538,29 @@ class TestRunStore:
         with pytest.raises(RunStoreError):
             store.find("zzzz-no-such-run")
 
-    def test_corrupt_summary_degrades_to_incomplete(self, tmp_path):
+    def test_summary_read_from_the_log(self, tmp_path):
         store = RunStore(tmp_path)
         context = _record_run(store, "sweep", 100)
         run = store.find("latest")
-        (run.directory / "run.json").write_text("{torn")
-        recovered = store.find("latest")
-        assert recovered.complete is False
-        assert recovered.run_id == context.run_id  # from the event log
-        assert recovered.command == "sweep"
-        # and its metrics still replay from events.jsonl
-        assert recovered.metrics().counters["shard.trials"] == 100
+        assert [p.name for p in run.directory.iterdir()] == [
+            "events.jsonl"
+        ]
+        assert run.run_id == context.run_id
+        assert run.argv == ("sweep",)
+        assert run.version == context.version
+        assert run.started_utc == context.started_utc
+        assert run.finished_utc.endswith("Z")
+        assert run.elapsed_seconds > 0
+        assert run.exit_code == 0 and run.complete
+
+    def test_aborted_run_is_incomplete(self, tmp_path):
+        # an exception leaves run_end with a null exit code
+        store = RunStore(tmp_path)
+        context = new_run_context(command="sweep", argv=["sweep"])
+        EventBus(path=store.events_path(context), context=context).close()
+        run = store.find("latest")
+        assert run.complete is False and run.exit_code is None
+        assert run.elapsed_seconds is not None
 
     def test_render_run_shows_counters(self, tmp_path):
         store = RunStore(tmp_path)
@@ -538,21 +577,72 @@ class TestRunStore:
         kept = store.list_runs()
         assert [r.command for r in kept] == ["c2", "c3"]
 
-    def test_prune_skips_run_being_finalized(self, tmp_path):
-        # a live run has written run.json.tmp but not yet renamed it:
-        # prune must not delete the directory out from under it
-        store = RunStore(tmp_path)
-        for i in range(3):
-            _record_run(store, f"c{i}", i + 1)
-        oldest = store.list_runs()[0]
-        (oldest.directory / "run.json.tmp").write_text("{")
-        assert store.prune(keep=1) == 1  # c1 pruned, c0 skipped
-        kept = store.list_runs()
-        assert [r.command for r in kept] == ["c0", "c2"]
-        # once the finalize completes, the directory prunes normally
-        (oldest.directory / "run.json.tmp").unlink()
-        assert store.prune(keep=1) == 1
-        assert [r.command for r in store.list_runs()] == ["c2"]
+
+class TestTornRunEnd:
+    """A recorded run whose last line (``run_end``) is torn or flipped
+    is INCOMPLETE, every reader still exits 0, and its metrics replay
+    the last intact snapshot -- the run store's crash contract, now
+    that the event log is its only file."""
+
+    @pytest.fixture
+    def recorded(self, tmp_path, capsys, monkeypatch):
+        import functools
+
+        import repro.cli as cli
+
+        # one parser for the hundreds of CLI calls below
+        monkeypatch.setattr(
+            cli, "_build_parser", functools.lru_cache()(cli._build_parser)
+        )
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+        assert cli.main(
+            ["case", "--n", "3", "--delta", "1", "--record-run"]
+        ) == 0
+        capsys.readouterr()
+        run = RunStore(tmp_path / "runs").find("latest")
+        intact = run.events_path.read_bytes()
+        assert run.complete and run.metrics() is not None
+        assert read_events(run.events_path).events[-1]["type"] == "run_end"
+        return run, intact
+
+    def _assert_degrades(self, run, damaged, expected, capsys, tmp_path):
+        from repro.cli import main
+
+        run.events_path.write_bytes(damaged)
+        (summary,) = RunStore(run.directory.parent).list_runs()
+        assert summary.complete is False
+        assert (summary.run_id, summary.command) == (run.run_id, "case")
+        assert summary.metrics() == expected
+        assert main(["runs", "list"]) == 0
+        assert "[INCOMPLETE]" in capsys.readouterr().out
+        assert main(["runs", "show", "latest"]) == 0
+        assert main(["runs", "compare", "latest", "latest"]) == 0
+        target = tmp_path / "report.html"
+        assert main(["report", "latest", "--html", str(target)]) == 0
+        assert "INCOMPLETE" in target.read_text()
+        capsys.readouterr()
+
+    def test_truncated_at_every_offset(self, recorded, capsys, tmp_path):
+        run, intact = recorded
+        expected = run.metrics()
+        start = intact.rindex(b"\n", 0, len(intact) - 1) + 1
+        for cut in range(start, len(intact)):
+            self._assert_degrades(
+                run, intact[:cut], expected, capsys, tmp_path
+            )
+
+    def test_flipped_byte_at_every_offset(
+        self, recorded, capsys, tmp_path
+    ):
+        run, intact = recorded
+        expected = run.metrics()
+        start = intact.rindex(b"\n", 0, len(intact) - 1) + 1
+        for offset in range(start, len(intact)):
+            damaged = bytearray(intact)
+            damaged[offset] ^= 0x01
+            self._assert_degrades(
+                run, bytes(damaged), expected, capsys, tmp_path
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +744,20 @@ class TestTelemetryCli:
     def test_recorded_run_replays_cli_snapshot(
         self, tmp_path, capsys, monkeypatch
     ):
+        import contextlib
+
+        import repro.cli as cli
         from repro.cli import main
 
+        live = []
+
+        @contextlib.contextmanager
+        def keep_instrument():
+            with use_instrumentation() as instr:
+                live.append(instr)
+                yield instr
+
+        monkeypatch.setattr(cli, "use_instrumentation", keep_instrument)
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
         metrics_path = tmp_path / "m.jsonl"
         assert main(
@@ -665,15 +767,32 @@ class TestTelemetryCli:
         capsys.readouterr()
         store = RunStore(tmp_path / "runs")
         run = store.find("latest")
-        replayed = run.metrics()
-        exported = {
-            row["name"]: row["value"]
-            for row in map(
-                json.loads, metrics_path.read_text().splitlines()
-            )
-            if row.get("type") == "counter"
-        }
-        assert replayed.counters == exported
+        assert run.metrics() == live[0].metrics.snapshot()
+        assert run.metrics() == reconstruct_metrics(metrics_path)
+        # the export is the recorded log itself, the log the only file
+        assert metrics_path.read_bytes() == run.events_path.read_bytes()
+        assert [p.name for p in run.directory.iterdir()] == [
+            "events.jsonl"
+        ]
+
+    def test_metrics_out_replaces_an_existing_file(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        metrics_path = tmp_path / "m.jsonl"
+        metrics_path.write_text("stale\n")
+        assert main(
+            ["case", "--n", "3", "--delta", "1",
+             "--metrics-out", str(metrics_path)]
+        ) == 0
+        capsys.readouterr()
+        log = read_events(metrics_path)
+        assert log.corrupt_lines == 0
+        assert log.events[0]["type"] == "run_start"
+        assert log.events[-1]["type"] == "run_end"
+        snapshot = reconstruct_metrics(log)
+        assert snapshot.counters["optimize.threshold_searches"] >= 1
 
     def test_dashboard_flag_non_tty(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
@@ -732,8 +851,8 @@ class TestTelemetryCli:
         doc = target.read_text()
         assert doc.startswith("<!DOCTYPE html>")
         assert "shard.trials" in doc
-        assert "Bench lineage" in doc  # BENCH_*.json in the repo root
-        assert "<svg" in doc
+        # the span tree comes from the log's own spans event
+        assert "Span tree" in doc and "repro.validate" in doc
         # self-contained: no external fetches of any kind
         assert "http://" not in doc and "https://" not in doc
         assert "<script src" not in doc and "<link" not in doc
@@ -754,13 +873,35 @@ class TestHtmlReport:
         flat = sparkline_svg([2.0, 2.0, 2.0])
         assert "polyline" in flat
 
+    def test_span_tree_walks_the_spans_event(self, tmp_path):
+        from repro.observability.events import EventLogRead
+        from repro.observability.htmlreport import render_html_report
+
+        store = RunStore(tmp_path)
+        _record_run(store, "sweep", 10)
+        leaf = {"name": "leaf", "duration_us": 2e6, "children": []}
+        spans = [
+            {"name": f"root{i}", "duration_us": 1e6, "children": [leaf]}
+            for i in range(201)
+        ]
+        log = EventLogRead(
+            events=({"type": "spans", "t_ns": 0, "spans": spans},),
+            corrupt_lines=0,
+        )
+        doc = render_html_report(store.find("latest"), log)
+        assert "root0</td><td class='num'>1.0000" in doc
+        assert "  leaf</td><td class='num'>2.0000" in doc  # depth 1
+        assert "root199" in doc and "root200" not in doc  # 400 rows
+        assert "... 2 more span(s)" in doc
+
     def test_incomplete_run_still_renders(self, tmp_path):
         from repro.observability.htmlreport import render_html_report
 
         store = RunStore(tmp_path)
         context = _record_run(store, "sweep", 10)
         run = store.find("latest")
-        (run.directory / "run.json").unlink()
+        lines = run.events_path.read_bytes().splitlines(keepends=True)
+        run.events_path.write_bytes(b"".join(lines[:-1]))  # no run_end
         incomplete = store.find("latest")
         doc = render_html_report(incomplete)
         assert "INCOMPLETE" in doc
