@@ -1,4 +1,4 @@
-"""Persistent cache tier: one checksummed JSON file per entry.
+"""Persistent cache tier: one sealed JSON record per file.
 
 Storage discipline:
 
@@ -8,10 +8,12 @@ Storage discipline:
   reader/writer sees either a complete entry or none.  Two processes
   racing to cache the same key write byte-identical payloads, so the
   race is harmless.
-* **Per-entry checksums.**  The payload carries a SHA-256 checksum of
-  its own canonical serialisation; a flipped bit, a truncated file, or
-  a hand-edited value fails verification and the entry is *deleted and
-  recomputed*, counted as ``cache.disk_corrupt`` -- never served.
+* **Sealed entries.**  Each file is one sealed line
+  (:func:`repro.fsutil._sealed_line`, the codec of the checkpoint and
+  the event log): the entry plus a checksum of its canonical JSON.  A
+  flipped bit, a file cut anywhere (even just before its newline), or
+  a hand-edited value fails verification and the entry is *deleted
+  and recomputed*, counted as ``cache.disk_corrupt`` -- never served.
 * **Version pinning.**  The kernel's code fingerprint is baked into
   the key (see :mod:`repro.cache.keys`), so an entry written by an
   older formula is simply never addressed again; as defence in depth
@@ -28,41 +30,24 @@ Storage discipline:
   prune --max-bytes`` applies the same policy on demand.
 
 Entries are small (a key, a rational, a checksum), and the directory
-is flat: ``<cache_dir>/<key>.json``.
+is flat: ``<cache_dir>/<key>.json``.  A ``.<key>.json.*.tmp`` file left
+by a crash mid-write is never read.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.cache.codec import decode_value
 from repro.cache.keys import CACHE_SCHEMA_VERSION
-from repro.fsutil import atomic_write
+from repro.fsutil import _open_line, _sealed_line, atomic_write
 from repro.observability import get_instrumentation
 
 __all__ = ["DiskCache"]
 
 _ENTRY_SUFFIX = ".json"
-
-
-def _entry_checksum(
-    key: str, kernel: str, fingerprint: str, value_payload: Any
-) -> str:
-    canonical = json.dumps(
-        {
-            "key": key,
-            "kernel": kernel,
-            "fingerprint": fingerprint,
-            "value": value_payload,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class DiskCache:
@@ -111,38 +96,30 @@ class DiskCache:
         """``(found, value)``; corrupt or stale entries are deleted.
 
         Every failure mode -- unreadable file, invalid JSON, checksum
-        mismatch, undecodable value -- degrades to a miss plus a
+        mismatch, wrong key, undecodable value -- degrades to a miss plus a
         recompute; the cache can lose time to damage, never
         correctness.
         """
         path = self._path_for(key)
         try:
-            raw = path.read_text()
+            raw = path.read_bytes()
         except OSError:
             self._count("_misses", "cache.disk_misses")
             return False, None
+        payload = _open_line(raw) if raw.endswith(b"\n") else None
         try:
-            payload = json.loads(raw)
-            if not isinstance(payload, dict):
-                raise ValueError("entry is not a JSON object")
-            if payload.get("schema_version") != CACHE_SCHEMA_VERSION:
-                raise ValueError(
-                    f"schema_version {payload.get('schema_version')!r}"
-                )
-            expected = _entry_checksum(
-                payload["key"],
-                payload["kernel"],
-                payload["fingerprint"],
-                payload["value"],
-            )
-            if payload.get("checksum") != expected or payload["key"] != key:
-                raise ValueError("checksum mismatch")
+            if (
+                payload is None
+                or payload.get("schema_version") != CACHE_SCHEMA_VERSION
+                or payload["key"] != key
+            ):
+                raise ValueError("corrupt entry")
             value = decode_value(payload["value"])
         except (ValueError, KeyError, TypeError):
             self._count("_corrupt", "cache.disk_corrupt")
             self._discard(path)
             return False, None
-        if payload["fingerprint"] != fingerprint:
+        if payload.get("fingerprint") != fingerprint:
             self._count("_stale", "cache.disk_stale")
             self._discard(path)
             return False, None
@@ -163,15 +140,9 @@ class DiskCache:
             "kernel": kernel,
             "fingerprint": fingerprint,
             "value": value_payload,
-            "checksum": _entry_checksum(
-                key, kernel, fingerprint, value_payload
-            ),
         }
         try:
-            atomic_write(
-                self._path_for(key),
-                json.dumps(entry, separators=(",", ":")),
-            )
+            atomic_write(self._path_for(key), _sealed_line(entry))
         except OSError:
             return
         self._count("_writes", "cache.disk_writes")

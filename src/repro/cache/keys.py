@@ -43,7 +43,7 @@ __all__ = [
 
 #: Version of the on-disk entry format; folded into every fingerprint
 #: so a format change invalidates old persisted entries wholesale.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
 class UncacheableArgumentError(TypeError):

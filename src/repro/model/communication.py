@@ -11,9 +11,9 @@ abstraction so the framework matches the general model:
   baseline lives here: with full information the players can jointly
   implement optimal packing).
 * :class:`GraphPattern` -- visibility along the edges of an arbitrary
-  directed graph (a :mod:`networkx` ``DiGraph`` or an edge list), which
-  covers the one-way/two-way three-player patterns of Papadimitriou and
-  Yannakakis [11].
+  directed graph (an edge list, or any graph object with ``.edges()``),
+  which covers the one-way/two-way three-player patterns of
+  Papadimitriou and Yannakakis [11].
 
 Patterns are static: who-sees-whom does not depend on the inputs.  That
 matches the model in the paper, where the communication pattern is part
@@ -23,9 +23,7 @@ of the problem statement, not of the algorithm.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Iterable, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, Tuple
 
 __all__ = [
     "CommunicationPattern",
@@ -98,21 +96,20 @@ class GraphPattern(CommunicationPattern):
     """Visibility along a directed graph: edge ``u -> v`` means *v* sees
     ``x_u``.
 
-    Accepts a :class:`networkx.DiGraph` whose nodes are the player
-    indices ``0 .. n-1``, or any iterable of ``(sender, receiver)``
-    pairs.  Self-loops are rejected (a player always sees its own input;
-    encoding that as an edge would double-count).
+    Accepts any iterable of ``(sender, receiver)`` pairs over the
+    player indices ``0 .. n-1``, or a graph object whose ``.edges()``
+    method yields them (a graph library's ``DiGraph``, say).  Self-loops
+    are rejected (a player always sees its own input; encoding that as
+    an edge would double-count).
     """
 
     def __init__(self, n: int, edges) -> None:
         super().__init__(n)
-        if isinstance(edges, nx.DiGraph):
-            edge_list: Iterable[Tuple[int, int]] = edges.edges()
-        else:
-            edge_list = edges
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(n))
-        for sender, receiver in edge_list:
+        pairs = edges.edges() if hasattr(edges, "edges") else edges
+        self._edges: FrozenSet[Tuple[int, int]] = frozenset(
+            (sender, receiver) for sender, receiver in pairs
+        )
+        for sender, receiver in self._edges:
             if not (0 <= sender < n and 0 <= receiver < n):
                 raise ValueError(
                     f"edge ({sender}, {receiver}) out of range for n={n}"
@@ -121,16 +118,15 @@ class GraphPattern(CommunicationPattern):
                 raise ValueError(
                     f"self-loop ({sender}, {sender}) is not a message"
                 )
-            graph.add_edge(sender, receiver)
-        self._graph = graph
 
     @property
-    def graph(self) -> nx.DiGraph:
-        return self._graph.copy()
+    def edges(self) -> FrozenSet[Tuple[int, int]]:
+        """The ``(sender, receiver)`` pairs, immutable."""
+        return self._edges
 
     def observed_by(self, player: int) -> FrozenSet[int]:
         self._check_player(player)
-        return frozenset(self._graph.predecessors(player))
+        return frozenset(s for s, r in self._edges if r == player)
 
     @classmethod
     def chain(cls, n: int) -> "GraphPattern":
@@ -147,5 +143,5 @@ class GraphPattern(CommunicationPattern):
     def __repr__(self) -> str:
         return (
             f"GraphPattern(n={self._n}, "
-            f"edges={sorted(self._graph.edges())})"
+            f"edges={sorted(self._edges)})"
         )

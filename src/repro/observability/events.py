@@ -11,10 +11,10 @@ Design rules, inherited from the rest of the observability layer:
   stream and never changes a result; with no bus attached,
   :meth:`Instrumentation.emit <repro.observability.Instrumentation>`
   is a single ``is None`` branch.
-* **Sealed lines.**  Every line carries its own checksum (the
-  checkpoint idiom of :mod:`repro.simulation.faulttolerance`), so a
-  torn final line -- the expected failure mode of an interrupted run
-  -- is detected and *skipped* by the reader, never fatal.
+* **Sealed lines.**  The log is a sealed log (:mod:`repro.fsutil`):
+  every line carries its own checksum, so a torn final line -- the
+  expected failure mode of an interrupted run -- is detected and
+  *skipped* by the reader, never fatal.
 * **Exact reconstruction.**  Metrics snapshots are encoded with the
   registry's native integers (counts and nanosecond totals verbatim,
   bucket tallies as lists); :func:`reconstruct_metrics` returns a
@@ -52,7 +52,6 @@ context's monotonic origin.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,7 +67,7 @@ from typing import (
     Union,
 )
 
-from repro.fsutil import _open_line, _sealed_line
+from repro.fsutil import SealedLog, read_sealed_log
 from repro.observability.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
@@ -181,7 +180,7 @@ class EventBus:
 
     Writes are append + flush per event (an interrupted run loses at
     most its torn final line, which the reader's per-line checksum
-    skips); ``close`` fsyncs before releasing the handle.  All emission
+    skips); ``close`` fsyncs before releasing the file.  All emission
     is serialised behind one lock, so shard callbacks from any thread
     interleave safely.
     """
@@ -204,12 +203,7 @@ class EventBus:
         self._lock = threading.RLock()
         self._closed = False
         self._events_emitted = 0
-        self._path: Optional[Path] = None
-        self._handle = None
-        if path is not None:
-            self._path = Path(path)
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self._path.open("w")
+        self._log = None if path is None else SealedLog(path, replace=True)
         self.emit(
             "run_start",
             schema_version=EVENT_LOG_SCHEMA_VERSION,
@@ -219,7 +213,7 @@ class EventBus:
     @property
     def path(self) -> Optional[Path]:
         """Where this bus appends (``None`` for an in-memory bus)."""
-        return self._path
+        return None if self._log is None else self._log.path
 
     @property
     def context(self) -> RunContext:
@@ -233,9 +227,8 @@ class EventBus:
 
     def _publish_locked(self, event: Dict[str, Any]) -> None:
         """Write, count and fan out one event (caller holds the lock)."""
-        if self._handle is not None:
-            self._handle.write(_sealed_line(event))
-            self._handle.flush()
+        if self._log is not None:
+            self._log.append(event)
         self._events_emitted += 1
         for subscriber in self._subscribers:
             subscriber(event)
@@ -308,10 +301,8 @@ class EventBus:
                 }
             )
             self._closed = True
-            if self._handle is not None:
-                os.fsync(self._handle.fileno())
-                self._handle.close()
-                self._handle = None
+            if self._log is not None:
+                self._log.close()
 
     def __enter__(self) -> "EventBus":
         """Context-manager entry: the bus itself."""
@@ -322,7 +313,7 @@ class EventBus:
         self.close()
 
     def __repr__(self) -> str:
-        target = "memory" if self._path is None else str(self._path)
+        target = "memory" if self._log is None else str(self._log.path)
         return (
             f"EventBus({target}, {self._events_emitted} events, "
             f"run {self._context.run_id})"
@@ -364,19 +355,11 @@ def read_events(path: Union[str, Path]) -> EventLogRead:
     cut anywhere, even just before its newline, is torn.  A missing
     file raises ``OSError`` like any other read.
     """
-    target = Path(path)
-    events: List[Dict[str, Any]] = []
-    corrupt = 0
-    with target.open("rb") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            event = _open_line(line) if line.endswith(b"\n") else None
-            if event is None or "type" not in event:
-                corrupt += 1
-                continue
-            events.append(event)
-    return EventLogRead(events=tuple(events), corrupt_lines=corrupt)
+    records, corrupt = read_sealed_log(path)
+    events = tuple(record for record in records if "type" in record)
+    return EventLogRead(
+        events=events, corrupt_lines=corrupt + len(records) - len(events)
+    )
 
 
 def reconstruct_metrics(

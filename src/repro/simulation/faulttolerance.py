@@ -23,9 +23,10 @@ the three ingredients the executor in
   by tests and the CLI chaos mode, so every recovery path can be
   exercised reproducibly -- the same plan always fails the same
   attempt of the same shard.
-* **Checkpoint/resume** -- completed shard outcomes stream to a JSONL
-  checkpoint (:class:`CheckpointWriter`: append-then-``fsync``, one
-  self-checksummed record per shard, a header pinning the root seed).
+* **Checkpoint/resume** -- completed shard outcomes stream to a
+  checkpoint, a sealed log (:mod:`repro.fsutil`) whose header pins the
+  root seed and whose every further line is one shard record, fsynced
+  as it is appended (:class:`CheckpointWriter`).
   :func:`load_checkpoint` returns the salvageable records for a run
   fingerprint (root seed, stream, shard plan, system digest), so a
   resumed run re-executes only missing or corrupt shards.
@@ -38,14 +39,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ValidationError
-from repro.fsutil import _open_line, _sealed_line, fsync_directory
+from repro.fsutil import SealedLog, read_sealed_log
 from repro.observability.runmeta import run_header
 
 __all__ = [
@@ -452,8 +452,9 @@ def run_fingerprint(
 
 @dataclass(frozen=True)
 class CheckpointRecord:
-    """One salvaged shard outcome as read back from a checkpoint."""
+    """One completed shard, stored under its run's fingerprint."""
 
+    fingerprint: str
     index: int
     stream: str
     trials: int
@@ -462,113 +463,44 @@ class CheckpointRecord:
     attempt: int
 
 
-class CheckpointWriter:
-    """Streams completed shard outcomes to an append-only JSONL file.
+@dataclass(frozen=True)
+class Checkpoint:
+    """Everything salvageable from one checkpoint file."""
 
-    The first line is a header pinning the checkpoint version and the
-    run's root seed; every further line is one shard record sealed
-    with its own checksum.  Each ``append`` is written, flushed and
-    ``fsync``-ed before returning, so a crash can lose at most the
-    record being written -- and a torn final line is detected (and
-    skipped) by the per-record checksum on load.  Reopening an
-    existing checkpoint validates the header and keeps appending.
+    records: Tuple[CheckpointRecord, ...]
+    corrupt_lines: int
+
+    def outcomes(self, fingerprint: str) -> Dict[int, CheckpointRecord]:
+        """The records matching *fingerprint*, by shard index.  Later
+        records win (a shard re-checkpointed after a resume supersedes
+        its older record)."""
+        return {
+            r.index: r for r in self.records if r.fingerprint == fingerprint
+        }
+
+
+def load_checkpoint(
+    path: Union[str, Path], root_seed: int
+) -> Checkpoint:
+    """Read a checkpoint, keeping every intact shard record.
+
+    Torn, flipped or malformed lines are *skipped* (counted in
+    ``corrupt_lines``), never fatal: the executor simply re-runs those
+    shards.  A missing or empty file, or one whose first line is not
+    an intact header, raises :class:`CheckpointError`; a header
+    written for a different root seed raises
+    :class:`CheckpointFingerprintError`.
     """
-
-    def __init__(self, path: Union[str, Path], root_seed: int):
-        self._path = Path(path)
-        self._root_seed = int(root_seed)
-        try:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = (
-                not self._path.exists()
-                or self._path.stat().st_size == 0
-            )
-            if not fresh:
-                _read_header(self._path, self._root_seed)
-            self._handle = self._path.open("a")
-            if fresh:
-                # the common run stamp (run id, UTC time, version,
-                # argv) makes the checkpoint joinable with the metrics
-                # / trace / event-log artifacts of the same run; the
-                # resume path ignores it, so old checkpoints load fine
-                self._write_line(
-                    {
-                        "type": "header",
-                        "version": CHECKPOINT_VERSION,
-                        "root_seed": self._root_seed,
-                        "meta": run_header(),
-                    }
-                )
-                # per-record fsync makes the *contents* durable; the
-                # brand-new file's directory entry needs its own sync
-                # or the whole checkpoint can vanish on power loss
-                fsync_directory(self._path.parent)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot open checkpoint {self._path}: {exc}"
-            ) from exc
-
-    @property
-    def path(self) -> Path:
-        """Where this writer appends."""
-        return self._path
-
-    def _write_line(self, payload: Dict[str, Any]) -> None:
-        self._handle.write(_sealed_line(payload))
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def append(
-        self,
-        fingerprint: str,
-        index: int,
-        stream: str,
-        trials: int,
-        wins: int,
-        elapsed_seconds: Optional[float],
-        attempt: int,
-    ) -> None:
-        """Durably record one completed shard."""
-        try:
-            self._write_line(
-                {
-                    "type": "shard",
-                    "fingerprint": fingerprint,
-                    "index": int(index),
-                    "stream": stream,
-                    "trials": int(trials),
-                    "wins": int(wins),
-                    "elapsed_seconds": elapsed_seconds,
-                    "attempt": int(attempt),
-                }
-            )
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot append to checkpoint {self._path}: {exc}"
-            ) from exc
-
-    def close(self) -> None:
-        """Close the underlying file handle."""
-        self._handle.close()
-
-    def __enter__(self) -> "CheckpointWriter":
-        """Context-manager entry: the writer itself."""
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: close the file."""
-        self.close()
-
-
-def _read_header(path: Path, root_seed: int) -> None:
-    """Validate an existing checkpoint's header against *root_seed*."""
-    with path.open("rb") as handle:
-        first = handle.readline()
-    header = _open_line(first)
-    if (
-        header is None
-        or header.get("type") != "header"
-        or header.get("version") != CHECKPOINT_VERSION
+    try:
+        lines, corrupt = read_sealed_log(path)
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint {path}: {exc}"
+        ) from exc
+    header = lines[0] if lines else {}
+    if (header.get("type"), header.get("version")) != (
+        "header",
+        CHECKPOINT_VERSION,
     ):
         raise CheckpointError(
             f"{path} is not a version-{CHECKPOINT_VERSION} checkpoint "
@@ -580,80 +512,88 @@ def _read_header(path: Path, root_seed: int) -> None:
             f"{header.get('root_seed')}, not {root_seed}; refusing to "
             "resume a different run"
         )
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """Everything salvageable from one checkpoint file."""
-
-    records: Tuple[CheckpointRecord, ...]
-    fingerprints: Tuple[str, ...]
-    corrupt_lines: int
-
-    def outcomes(self, fingerprint: str) -> Dict[int, CheckpointRecord]:
-        """The per-shard records matching *fingerprint*, by index.
-        Later records win (a shard re-checkpointed after a resume
-        supersedes its older record)."""
-        matching: Dict[int, CheckpointRecord] = {}
-        for record, fp in zip(self.records, self.fingerprints):
-            if fp == fingerprint:
-                matching[record.index] = record
-        return matching
-
-
-def load_checkpoint(
-    path: Union[str, Path], root_seed: int
-) -> Checkpoint:
-    """Read a checkpoint, keeping every intact record.
-
-    Corrupt lines -- torn writes, flipped bytes, truncation -- fail to
-    decode or fail their checksum and are *skipped* (counted in
-    ``corrupt_lines``), never fatal: the executor simply re-runs those
-    shards.  A missing file or unreadable header raises
-    :class:`CheckpointError`; a header written for a different root
-    seed raises :class:`CheckpointFingerprintError`.
-    """
-    target = Path(path)
-    try:
-        with target.open("rb") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint {target}: {exc}"
-        ) from exc
-    if not lines:
-        raise CheckpointError(f"checkpoint {target} is empty")
-    _read_header(target, root_seed)
     records = []
-    fingerprints = []
-    corrupt = 0
     for line in lines[1:]:
-        if not line.strip():
-            continue
-        record = _open_line(line)
-        if record is None or record.get("type") != "shard":
-            corrupt += 1
-            continue
         try:
-            parsed = CheckpointRecord(
-                index=int(record["index"]),
-                stream=str(record["stream"]),
-                trials=int(record["trials"]),
-                wins=int(record["wins"]),
-                elapsed_seconds=record.get("elapsed_seconds"),
-                attempt=int(record.get("attempt", 0)),
+            record = CheckpointRecord(
+                fingerprint=str(line["fingerprint"]),
+                index=int(line["index"]),
+                stream=str(line["stream"]),
+                trials=int(line["trials"]),
+                wins=int(line["wins"]),
+                elapsed_seconds=line.get("elapsed_seconds"),
+                attempt=int(line.get("attempt", 0)),
             )
-            fingerprint = str(record["fingerprint"])
         except (KeyError, TypeError, ValueError):
+            record = None
+        if (
+            record is not None
+            and line.get("type") == "shard"
+            and 0 <= record.wins <= record.trials
+        ):
+            records.append(record)
+        else:
             corrupt += 1
-            continue
-        if not 0 <= parsed.wins <= parsed.trials:
-            corrupt += 1
-            continue
-        records.append(parsed)
-        fingerprints.append(fingerprint)
-    return Checkpoint(
-        records=tuple(records),
-        fingerprints=tuple(fingerprints),
-        corrupt_lines=corrupt,
-    )
+    return Checkpoint(records=tuple(records), corrupt_lines=corrupt)
+
+
+class CheckpointWriter:
+    """Appends shard records to a checkpoint, each fsynced before
+    :meth:`append` returns, so a crash loses at most the record being
+    written.
+
+    A new or empty file gets a header pinning the checkpoint version
+    and the root seed.  An existing file is read first with
+    :func:`load_checkpoint`, which refuses a file that is not this
+    run's checkpoint before a byte of it changes; what it salvaged is
+    :attr:`loaded`.
+    """
+
+    def __init__(self, path: Union[str, Path], root_seed: int):
+        path = Path(path)
+        try:
+            fresh = not path.exists() or path.stat().st_size == 0
+            self.loaded = (
+                Checkpoint((), 0)
+                if fresh
+                else load_checkpoint(path, root_seed)
+            )
+            self._log = SealedLog(path)
+            if fresh:
+                # the run stamp joins the checkpoint to the same run's
+                # other artifacts; the resume path ignores it
+                self._log.append(
+                    {
+                        "type": "header",
+                        "version": CHECKPOINT_VERSION,
+                        "root_seed": int(root_seed),
+                        "meta": run_header(),
+                    }
+                )
+                self._log.sync()
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot open checkpoint {path}: {exc}"
+            ) from exc
+
+    def append(self, record: CheckpointRecord) -> None:
+        """Durably record one completed shard."""
+        try:
+            self._log.append({"type": "shard", **asdict(record)})
+            self._log.sync()
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot append to checkpoint {self._log.path}: {exc}"
+            ) from exc
+
+    def close(self) -> None:
+        """Sync and close the file."""
+        self._log.close()
+
+    def __enter__(self) -> "CheckpointWriter":
+        """Context-manager entry: the writer itself."""
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        """Context-manager exit: close the file."""
+        self.close()

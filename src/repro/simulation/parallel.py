@@ -47,7 +47,6 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -67,6 +66,7 @@ from repro.observability import Instrumentation, get_instrumentation
 from repro.observability.metrics import MetricsRegistry, MetricsSnapshot
 from repro.observability.progress import ProgressCallback, ShardProgress
 from repro.simulation.faulttolerance import (
+    CheckpointRecord,
     CheckpointWriter,
     CorruptShardResultError,
     FaultPlan,
@@ -75,7 +75,6 @@ from repro.simulation.faulttolerance import (
     ShardFailure,
     ShardRetriesExhaustedError,
     ShardTimeoutError,
-    load_checkpoint,
     run_fingerprint,
     system_digest,
 )
@@ -453,24 +452,21 @@ class _ShardRun:
         self._fired = 0
         self.writer: Optional[CheckpointWriter] = None
         if config.checkpoint_path is not None:
-            path = Path(config.checkpoint_path)
-            if config.resume and path.exists() and path.stat().st_size > 0:
-                checkpoint = load_checkpoint(path, root_seed)
-                for index, record in checkpoint.outcomes(
-                    self.fingerprint
-                ).items():
-                    if (
-                        0 <= index < len(self.plan)
-                        and record.trials == self.plan[index]
-                    ):
-                        self.completed[index] = _Done(
-                            record.wins,
-                            record.elapsed_seconds,
-                            None,
-                            record.attempt,
-                            True,
-                        )
-            self.writer = CheckpointWriter(path, root_seed)
+            self.writer = CheckpointWriter(config.checkpoint_path, root_seed)
+            saved = self.writer.loaded.outcomes(self.fingerprint)
+            for index, record in saved.items():
+                if (
+                    config.resume
+                    and 0 <= index < len(self.plan)
+                    and record.trials == self.plan[index]
+                ):
+                    self.completed[index] = _Done(
+                        record.wins,
+                        record.elapsed_seconds,
+                        None,
+                        record.attempt,
+                        True,
+                    )
         self.resumed = len(self.completed)
 
     def __enter__(self) -> "_ShardRun":
@@ -549,13 +545,15 @@ class _ShardRun:
         )
         if self.writer is not None:
             self.writer.append(
-                self.fingerprint,
-                index,
-                self.names[index],
-                trials,
-                wins,
-                elapsed,
-                attempt,
+                CheckpointRecord(
+                    self.fingerprint,
+                    index,
+                    self.names[index],
+                    trials,
+                    wins,
+                    elapsed,
+                    attempt,
+                )
             )
         self.flush_progress()
         return None

@@ -25,14 +25,16 @@ def fresh_kernel_cache():
     entries would mask another test's counters and call-count
     assertions.  Dropping the memory tier before each test restores
     cold-cache behaviour (tests that want a disk tier configure their
-    own directory and are responsible for detaching it).
+    own directory and are responsible for detaching it).  The disk cap
+    is lifted too: a CLI call such as ``cache warm --max-bytes 0`` sets
+    it process-wide, and it would prune every later test's entries.
     """
     from repro.cache import clear_cache, configure_cache
 
-    configure_cache(enabled=True, directory=None)
+    configure_cache(enabled=True, directory=None, max_bytes=None)
     clear_cache(include_disk=False)
     yield
-    configure_cache(enabled=True, directory=None)
+    configure_cache(enabled=True, directory=None, max_bytes=None)
     clear_cache(include_disk=False)
 
 

@@ -36,7 +36,7 @@ from repro.cache import (
     kernel_fingerprint,
     memoized_kernel,
 )
-from repro.cache.disk import _entry_checksum
+from repro.fsutil import _sealed_line
 
 
 # ----------------------------------------------------------------------
@@ -320,14 +320,9 @@ class TestDiskTier:
         value = kernel(1, 2)
         path = self._only_entry(directory)
         payload = json.loads(path.read_text())
+        del payload["checksum"]
         payload["fingerprint"] = "0" * 64
-        payload["checksum"] = _entry_checksum(
-            payload["key"],
-            payload["kernel"],
-            payload["fingerprint"],
-            payload["value"],
-        )
-        path.write_text(json.dumps(payload))
+        path.write_text(_sealed_line(payload))
 
         clear_cache(include_disk=False)
         assert kernel(1, 2) == value

@@ -12,8 +12,9 @@ factory, the sharded estimate is **bit-identical** across
 because every recovery path replays the *same* named seed stream
 (``f"{stream}/shard-{i}"``): faults change when shards execute, never
 what they draw.  Alongside, unit tests for the retry policy, fault
-plans, and the checkpoint file format (checksums, torn writes,
-fingerprint guards).
+plans, and the checkpoint file format (round trip, header and
+fingerprint guards); crash faults against the file itself live in
+``test_crash_faults.py``.
 """
 
 import json
@@ -32,6 +33,7 @@ from repro.simulation.engine import MonteCarloEngine
 from repro.simulation.faulttolerance import (
     CheckpointError,
     CheckpointFingerprintError,
+    CheckpointRecord,
     CheckpointWriter,
     FaultPlan,
     FaultSpec,
@@ -273,11 +275,18 @@ class TestFingerprints:
         assert len(digest) == 64
 
 
+def shard_record(index, wins, elapsed=0.5, attempt=0):
+    """A 100-trial shard record under fingerprint ``"fp"``."""
+    return CheckpointRecord(
+        "fp", index, f"s/shard-{index}", 100, wins, elapsed, attempt
+    )
+
+
 class TestCheckpointFile:
     def fill(self, path, root_seed=1, shards=3):
         with CheckpointWriter(path, root_seed) as writer:
             for i in range(shards):
-                writer.append("fp", i, f"s/shard-{i}", 100, 40 + i, 0.5, 0)
+                writer.append(shard_record(i, 40 + i))
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
@@ -289,43 +298,6 @@ class TestCheckpointFile:
         assert outcomes[2].wins == 42
         assert checkpoint.outcomes("other-fp") == {}
 
-    def test_corrupt_middle_byte_skips_only_that_record(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        self.fill(path)
-        lines = path.read_text().splitlines(keepends=True)
-        middle = lines[2]
-        flip_at = len(middle) // 2
-        lines[2] = (
-            middle[:flip_at]
-            + ("0" if middle[flip_at] != "0" else "1")
-            + middle[flip_at + 1 :]
-        )
-        path.write_text("".join(lines))
-        checkpoint = load_checkpoint(path, 1)
-        assert checkpoint.corrupt_lines == 1
-        assert sorted(checkpoint.outcomes("fp")) == [0, 2]
-
-    def test_flipped_high_bit_skips_only_that_record(self, tmp_path):
-        # one high-bit flip (0x22 -> 0xA2) makes a record invalid
-        # UTF-8: resume must skip it like any other corrupt line
-        path = tmp_path / "ckpt.jsonl"
-        self.fill(path)
-        lines = path.read_bytes().splitlines(keepends=True)
-        lines[2] = lines[2].replace(b'"', b"\xa2", 1)
-        path.write_bytes(b"".join(lines))
-        checkpoint = load_checkpoint(path, 1)
-        assert checkpoint.corrupt_lines == 1
-        assert sorted(checkpoint.outcomes("fp")) == [0, 2]
-
-    def test_torn_final_line_is_skipped(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        self.fill(path)
-        text = path.read_text()
-        path.write_text(text[: len(text) - 9])  # tear the last record
-        checkpoint = load_checkpoint(path, 1)
-        assert checkpoint.corrupt_lines == 1
-        assert sorted(checkpoint.outcomes("fp")) == [0, 1]
-
     def test_wrong_root_seed_refused(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         self.fill(path, root_seed=1)
@@ -336,9 +308,16 @@ class TestCheckpointFile:
 
     def test_non_checkpoint_file_refused(self, tmp_path):
         path = tmp_path / "not-a-checkpoint.jsonl"
-        path.write_text(json.dumps({"type": "surprise"}) + "\n")
+        # the unterminated last line is a "torn tail" only in a file
+        # already known to be a checkpoint
+        path.write_text(json.dumps({"type": "surprise"}) + "\nno newline")
+        before = path.read_bytes()
         with pytest.raises(CheckpointError):
             load_checkpoint(path, 1)
+        with pytest.raises(CheckpointError):
+            CheckpointWriter(path, 1)
+        # refused before a byte of it changes
+        assert path.read_bytes() == before
 
     def test_missing_and_empty_files_refused(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -352,7 +331,7 @@ class TestCheckpointFile:
         path = tmp_path / "ckpt.jsonl"
         self.fill(path, shards=2)
         with CheckpointWriter(path, 1) as writer:
-            writer.append("fp", 2, "s/shard-2", 100, 7, 0.1, 1)
+            writer.append(shard_record(2, 7, 0.1, 1))
         checkpoint = load_checkpoint(path, 1)
         assert sorted(checkpoint.outcomes("fp")) == [0, 1, 2]
         assert checkpoint.outcomes("fp")[2].attempt == 1
@@ -360,8 +339,8 @@ class TestCheckpointFile:
     def test_later_record_wins(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         with CheckpointWriter(path, 1) as writer:
-            writer.append("fp", 0, "s/shard-0", 100, 10, 0.1, 0)
-            writer.append("fp", 0, "s/shard-0", 100, 10, 0.2, 1)
+            writer.append(shard_record(0, 10, 0.1, 0))
+            writer.append(shard_record(0, 10, 0.2, 1))
         assert load_checkpoint(path, 1).outcomes("fp")[0].attempt == 1
 
     def test_unwritable_path_raises_checkpoint_error(self, tmp_path):

@@ -1,6 +1,10 @@
 """Tests for repro.model.communication."""
 
-import networkx as nx
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.model.communication import (
@@ -59,6 +63,7 @@ class TestGraphPattern:
         assert pattern.observed_by(0) == frozenset()
 
     def test_from_networkx_digraph(self):
+        nx = pytest.importorskip("networkx")
         g = nx.DiGraph()
         g.add_edge(0, 2)
         pattern = GraphPattern(3, g)
@@ -84,11 +89,34 @@ class TestGraphPattern:
         assert pattern.observed_by(1) == frozenset({0, 2, 3})
         assert pattern.observed_by(0) == frozenset()
 
-    def test_graph_copy_is_defensive(self):
+    def test_edges_are_immutable(self):
         pattern = GraphPattern(3, [(0, 1)])
-        g = pattern.graph
-        g.add_edge(1, 2)
+        assert pattern.edges == frozenset({(0, 1)})
+        with pytest.raises(AttributeError):
+            pattern.edges.add((1, 2))
         assert pattern.observed_by(2) == frozenset()
 
     def test_empty_graph_is_silent(self):
         assert GraphPattern(3, []).is_silent()
+
+
+def test_package_and_cli_work_without_networkx():
+    """networkx is not a declared dependency: importing the package and
+    running a CLI command must not need it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import runpy, sys\n"
+        "sys.modules['networkx'] = None  # any import of it now fails\n"
+        "import repro\n"
+        "sys.argv = ['repro.cli', 'case', '--n', '3', '--delta', '1']\n"
+        "runpy.run_module('repro.cli', run_name='__main__')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
