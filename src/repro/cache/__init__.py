@@ -22,6 +22,7 @@ Public surface:
   tiers;
 * :func:`configure_cache` / :func:`cache_enabled` -- process-wide
   switches (``--no-cache`` / ``REPRO_NO_CACHE`` map here);
+  :func:`restored_cache_settings` scopes them to one CLI command;
 * :func:`bypass_cache` -- scoped thread-local bypass used by
   ``repro check`` so the oracle cross-validates *fresh* values;
 * :func:`cache_stats` / :func:`clear_cache` /
@@ -50,6 +51,7 @@ from repro.cache.decorator import (
     memoized_kernel,
     prune_disk_cache,
     registered_kernels,
+    restored_cache_settings,
 )
 from repro.cache.disk import DiskCache
 from repro.cache.keys import (
@@ -81,4 +83,5 @@ __all__ = [
     "memoized_kernel",
     "prune_disk_cache",
     "registered_kernels",
+    "restored_cache_settings",
 ]

@@ -60,6 +60,7 @@ __all__ = [
     "memoized_kernel",
     "prune_disk_cache",
     "registered_kernels",
+    "restored_cache_settings",
 ]
 
 #: Default capacity of the in-memory tier; large enough for the
@@ -144,6 +145,20 @@ def configure_cache(
             )
         if maxsize is not None:
             _state.memory = LRUCache(maxsize)
+
+
+@contextmanager
+def restored_cache_settings() -> Iterator[None]:
+    """On exit, normal or by an exception, put the switch, the persistent
+    tier and its byte cap back as they were on entry (``repro.cli.main``
+    runs each command in one, so its cache flags last for that command)."""
+    with _state_lock:
+        saved = (_state.enabled, _state.disk, _state.disk_max_bytes)
+    try:
+        yield
+    finally:
+        with _state_lock:
+            _state.enabled, _state.disk, _state.disk_max_bytes = saved
 
 
 @contextmanager

@@ -66,7 +66,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
-from repro.cache import bypass_cache, configure_cache
+from repro.cache import bypass_cache, configure_cache, restored_cache_settings
 from repro.errors import (
     ContractViolation,
     DistributedError,
@@ -1729,8 +1729,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     with requests still in flight); 130/143 a ``coordinate``/``work``
     process interrupted by SIGINT/SIGTERM after a graceful drain
     (128 + signal number, the shell convention).
+
+    The cache flags configure this command only: the process-wide cache
+    settings are restored when it returns or raises.
     """
     args = _build_parser().parse_args(argv)
+    with restored_cache_settings():
+        return _run_command(args, argv)
+
+
+def _run_command(args: argparse.Namespace, argv: Optional[List[str]]) -> int:
+    """:func:`main` after parsing, inside its cache-settings scope."""
     if args.no_cache:
         configure_cache(enabled=False)
     if args.cache_dir is not None:

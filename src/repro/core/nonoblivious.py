@@ -61,6 +61,7 @@ from repro.symbolic.piecewise import PiecewisePolynomial
 from repro.symbolic.polynomial import Polynomial
 from repro.symbolic.rational import (
     RationalLike,
+    alternating_power_sum,
     as_fraction,
     binomial,
     factorial,
@@ -114,26 +115,22 @@ def _a_factor(beta: Fraction, n: int, k: int, delta: Fraction) -> Fraction:
     m = n - k
     if m == 0:
         return Fraction(1)
-    total = Fraction(0)
-    for i in range(m + 1):
-        if delta - i * beta > 0:
-            total += (-1) ** i * binomial(m, i) * (delta - i * beta) ** m
-    return total / factorial(m)
+    (b, c), (p, q) = beta.as_integer_ratio(), delta.as_integer_ratio()
+    # delta - i * beta = (p c - i q b) / (q c)
+    total = alternating_power_sum(p * c, q * b, m, m)
+    return Fraction(total, factorial(m) * (q * c) ** m)
 
 
 def _b_factor(beta: Fraction, k: int, delta: Fraction) -> Fraction:
     """``B_k(beta)`` -- the bin-1 joint probability with ``k`` ones."""
     if k == 0:
         return Fraction(1)
-    total = Fraction(0)
-    for i in range(k + 1):
-        if k - delta - i * (1 - beta) > 0:
-            total += (
-                (-1) ** i
-                * binomial(k, i)
-                * (k - delta - i * (1 - beta)) ** k
-            )
-    return (1 - beta) ** k - total / factorial(k)
+    (b, c), (p, q) = beta.as_integer_ratio(), delta.as_integer_ratio()
+    # k - delta - i (1 - beta) = ((k q - p) c - i q (c - b)) / (q c)
+    total = alternating_power_sum((k * q - p) * c, q * (c - b), k, k)
+    return Fraction(
+        factorial(k) * (q * (c - b)) ** k - total, factorial(k) * (q * c) ** k
+    )
 
 
 @memoized_kernel
@@ -203,10 +200,11 @@ def symmetric_threshold_winning_polynomial(
     On each breakpoint interval the active condition pattern is fixed,
     so each ``A_k`` and ``B_k`` is a genuine polynomial in ``beta``.
     Every term of the module's common-denominator identity is expanded
-    once, in closed form, as Python ``int`` coefficients; each interval
-    sums the terms active at its midpoint and convolves the integer
-    ``Ahat_k`` and ``Bhat_k``.  This is the object Section 5.2
-    differentiates and maximises.
+    once, in closed form, as Python ``int`` coefficients; the terms
+    active at an interval's midpoint are a prefix whose length one
+    integer comparison gives, and each interval sums them and
+    convolves the integer ``Ahat_k`` and ``Bhat_k``.  This is the
+    object Section 5.2 differentiates and maximises.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -223,22 +221,23 @@ def symmetric_threshold_winning_polynomial(
 
     a_terms = [[expand((-1) ** i * binomial(m, i), p, -i * q, m)
                 for i in range(m + 1)] for m in range(n + 1)]
-    b_terms = [[expand((-1) ** i * binomial(k, i), (k - i) * q - p, i * q, k)
-                for i in range(k + 1)] for k in range(n + 1)]
+    b_terms = [[expand((-1) ** (i + 1) * binomial(k, i), (k - i) * q - p,
+                       i * q, k) for i in range(k + 1)] for k in range(n + 1)]
     b_bases = [expand(factorial(k), q, -q, k) for k in range(n + 1)]
     denominator = factorial(n) * q ** n
 
     def build(mid: Fraction) -> Polynomial:
+        # d - i * mid > 0 and k - d - i * (1 - mid) > 0 each hold for a
+        # prefix of the i; with mid = u / v, its length is the least
+        # i >= 0 with i q u >= p v (resp. i q (v - u) >= (k q - p) v).
+        u, v = mid.numerator, mid.denominator
+        a_active = -(-p * v // (q * u))
         total = [0] * (n + 1)
         for k in range(n + 1):
-            a_hat = [0] * (n - k + 1)
-            for i, term in enumerate(a_terms[n - k]):
-                if d - i * mid > 0:
-                    a_hat = [x + y for x, y in zip(a_hat, term)]
-            b_hat = b_bases[k]
-            for i, term in enumerate(b_terms[k]):
-                if k - d - i * (1 - mid) > 0:
-                    b_hat = [x - y for x, y in zip(b_hat, term)]
+            b_active = max(0, -(-(k * q - p) * v // (q * (v - u))))
+            a_hat = [sum(c) for c in zip([0] * (n - k + 1),
+                                         *a_terms[n - k][:a_active])]
+            b_hat = [sum(c) for c in zip(b_bases[k], *b_terms[k][:b_active])]
             weight = binomial(n, k) ** 2
             for r, a in enumerate(a_hat):
                 for s, b in enumerate(b_hat):

@@ -33,7 +33,13 @@ from repro.errors import ValidationError
 from repro.geometry.box import Box
 from repro.geometry.polytope import Polytope
 from repro.geometry.simplex import OrthogonalSimplex
-from repro.symbolic.rational import RationalLike, as_fraction, factorial
+from repro.symbolic.rational import (
+    RationalLike,
+    alternating_subset_power_sum,
+    as_fraction,
+    common_denominator,
+    factorial,
+)
 from repro.validation.contracts import (
     check_volume_subadditive,
     contracts_enabled,
@@ -98,44 +104,25 @@ def intersection_volume(
 ) -> Fraction:
     """Proposition 2.2: exact volume of ``Sigma^(m)(sigma) ∩ Pi^(m)(pi)``.
 
-    Runs over all ``2^m`` subsets; exact and fast for the dimensions the
-    paper uses (``m = n`` players, small).  The subset enumeration
-    short-circuits: once every singleton ratio ``pi_l / sigma_l``
-    exceeds 1 the alternating sum collapses to the simplex volume.
+    Sums over the subsets in integers, with the ratios ``pi_l / sigma_l``
+    scaled to one common denominator, and builds one ``Fraction`` at the
+    end.  A subset whose ratio sum reaches 1 is never grown, so once
+    every singleton ratio reaches 1 the sum collapses to the simplex
+    volume.
     """
     s, p = _validated_sides(sigma, pi)
     m = len(s)
-    ratios = [p[l] / s[l] for l in range(m)]
-    prefactor = Fraction(1)
-    for v in s:
-        prefactor *= v
-    prefactor /= factorial(m)
-
-    total = Fraction(0)
-    sign = 1
-    for size in range(m + 1):
-        layer = Fraction(0)
-        hit = False
-        for subset in combinations(range(m), size):
-            ratio_sum = sum((ratios[l] for l in subset), Fraction(0))
-            if ratio_sum < 1:
-                layer += (1 - ratio_sum) ** m
-                hit = True
-        total += sign * layer
-        sign = -sign
-        if size > 0 and not hit:
-            # Every subset of this size already violates the condition;
-            # larger subsets only increase the ratio sum, so stop early.
-            break
-    volume = prefactor * total
+    scale, ratios = common_denominator([p[l] / s[l] for l in range(m)])
+    total = alternating_subset_power_sum(scale, ratios, m)
+    volume = Fraction(
+        math.prod(v.numerator for v in s) * total,
+        math.prod(v.denominator for v in s) * factorial(m) * scale**m,
+    )
     if contracts_enabled():
-        box_volume = Fraction(1)
-        for v in p:
-            box_volume *= v
         check_volume_subadditive(
             "intersection_volume",
             volume,
-            [OrthogonalSimplex(s).volume(), box_volume],
+            [OrthogonalSimplex(s).volume(), math.prod(p)],
         )
     return volume
 

@@ -41,10 +41,7 @@ from repro.probability.moments import (
     sum_uniform_moment,
     uniform_moment,
 )
-from repro.probability.inclusion_exclusion import (
-    alternating_subset_sum,
-    alternating_symmetric_sum,
-)
+from repro.probability.inclusion_exclusion import alternating_subset_sum
 from repro.probability.uniform_sums import (
     irwin_hall_cdf,
     joint_sum_below_and_inside_boxes,
@@ -74,7 +71,6 @@ __all__ = [
     "sum_uniform_central_moment",
     "sum_uniform_moment",
     "uniform_moment",
-    "alternating_symmetric_sum",
     "irwin_hall_cdf",
     "joint_sum_below_and_inside_boxes",
     "irwin_hall_pdf",

@@ -6,10 +6,14 @@ Every formula in the paper has the shape
 
 where ``condition`` is a strict inequality (subsets violating it
 contribute nothing because the corresponding polytope corner is empty,
-Lemma 2.3).  This module implements that shape once, plus the symmetric
-specialisation where ``term`` depends only on ``|I|`` and the subset sum
-collapses to a binomial-weighted sum -- the form used throughout
-Sections 4 and 5 for identical thresholds.
+Lemma 2.3).  This module implements that shape once over ``Fraction``
+terms, as the brute-force reference the tests hold the kernels to.
+The kernels themselves scale each series to one common denominator
+and sum it over the integers
+(:func:`~repro.symbolic.rational.alternating_subset_power_sum` and its
+symmetric collapse
+:func:`~repro.symbolic.rational.alternating_power_sum`), building one
+``Fraction`` at the end.
 """
 
 from __future__ import annotations
@@ -18,11 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence, Tuple
 
-from repro.symbolic.rational import binomial
-
 __all__ = [
     "alternating_subset_sum",
-    "alternating_symmetric_sum",
     "subsets_satisfying",
 ]
 
@@ -49,27 +50,6 @@ def alternating_subset_sum(
             if condition(subset, size):
                 total += sign * term(subset, size)
         sign = -sign
-    return total
-
-
-def alternating_symmetric_sum(
-    count: int,
-    term: Callable[[int], Fraction],
-    condition: Callable[[int], bool] = lambda size: True,
-) -> Fraction:
-    """The symmetric collapse: ``sum_i (-1)^i C(count, i) term(i)`` over
-    sizes *i* satisfying *condition*.
-
-    Equivalent to :func:`alternating_subset_sum` over *count* identical
-    elements, but in O(count) instead of O(2^count).  This is the form
-    of Corollary 2.6 and of every symmetric-threshold formula.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    total = Fraction(0)
-    for i in range(count + 1):
-        if condition(i):
-            total += (-1) ** i * binomial(count, i) * term(i)
     return total
 
 

@@ -2,8 +2,9 @@
 
 One query interface, three evaluation tiers, chosen per call:
 
-* **exact** (small ``m``) -- the Fraction inclusion-exclusion kernels
-  of :mod:`repro.probability.uniform_sums`.  The only error is the
+* **exact** (small ``m``) -- the inclusion-exclusion kernels of
+  :mod:`repro.probability.uniform_sums`: one integer sum and one
+  ``Fraction`` per query, linear in ``m``.  The only error is the
   final correctly-rounded conversion to ``float`` (``<= eps/2``
   relative), reported as such; the exact ``Fraction`` rides along.
 * **certified** (medium ``m``) -- the compensated-float fast path

@@ -1,6 +1,12 @@
 """Exact distributions of sums of independent uniforms (Section 2.2).
 
 All core functions return exact :class:`fractions.Fraction` values.
+Each scales its alternating series to one common denominator, sums it
+in Python ``int``s (``alternating_power_sum`` for the symmetric
+collapse, ``alternating_subset_power_sum`` over subsets, both in
+:mod:`repro.symbolic.rational`) and builds one ``Fraction`` at the
+end.  The paper's strict conditions become integer comparisons on the
+same scale, so every cut-off is where the formula puts it.
 The results implemented:
 
 * **Lemma 2.4** -- for independent ``x_i ~ U[0, pi_i]``,
@@ -54,11 +60,12 @@ from typing import List, Sequence
 
 from repro.cache import memoized_kernel
 from repro.errors import ValidationError
-from repro.probability.inclusion_exclusion import alternating_symmetric_sum
 from repro.symbolic.rational import (
     RationalLike,
+    alternating_power_sum,
+    alternating_subset_power_sum,
     as_fraction,
-    binomial,
+    common_denominator,
     factorial,
 )
 from repro.validation.contracts import check_probability
@@ -83,16 +90,6 @@ __all__ = [
     "sum_uniform_pdf",
     "sum_uniform_tail_cdf",
 ]
-
-
-def _validated_positive(
-    values: Sequence[RationalLike], name: str
-) -> List[Fraction]:
-    out = [as_fraction(v) for v in values]
-    for i, v in enumerate(out):
-        if v <= 0:
-            raise ValidationError(f"{name}[{i}] must be positive, got {v}")
-    return out
 
 
 def _validated_widths(
@@ -130,21 +127,13 @@ def sum_uniform_cdf(t: RationalLike, uppers: Sequence[RationalLike]) -> Fraction
         return Fraction(1) if tt >= 0 else Fraction(0)
     if tt <= 0:
         return Fraction(0)
-    total_span = sum(pi, Fraction(0))
-    if tt >= total_span:
+    _, (top, *widths) = common_denominator([tt, *pi])
+    if top >= sum(widths):
         return Fraction(1)
-    normaliser = factorial(m)
-    for v in pi:
-        normaliser *= v
-
-    total = Fraction(0)
-    for size in range(m + 1):
-        sign = (-1) ** size
-        for subset in combinations(pi, size):
-            shift = sum(subset, Fraction(0))
-            if shift < tt:
-                total += sign * (tt - shift) ** m
-    return check_probability("sum_uniform_cdf", total / normaliser)
+    # the normaliser m! prod(pi) carries the numerator's scale^m
+    total = alternating_subset_power_sum(top, widths, m)
+    value = Fraction(total, factorial(m) * math.prod(widths))
+    return check_probability("sum_uniform_cdf", value)
 
 
 class SumUniformFastContext:
@@ -319,20 +308,13 @@ def sum_uniform_pdf(t: RationalLike, uppers: Sequence[RationalLike]) -> Fraction
         raise ValidationError(
             "the empty sum is a point mass; it has no density"
         )
-    if tt <= 0 or tt >= sum(pi, Fraction(0)):
+    if tt <= 0:
         return Fraction(0)
-    normaliser = factorial(m - 1)
-    for v in pi:
-        normaliser *= v
-
-    total = Fraction(0)
-    for size in range(m + 1):
-        sign = (-1) ** size
-        for subset in combinations(pi, size):
-            shift = sum(subset, Fraction(0))
-            if shift < tt:
-                total += sign * (tt - shift) ** (m - 1)
-    return total / normaliser
+    scale, (top, *widths) = common_denominator([tt, *pi])
+    if top >= sum(widths):
+        return Fraction(0)
+    total = alternating_subset_power_sum(top, widths, m - 1)
+    return Fraction(total * scale, factorial(m - 1) * math.prod(widths))
 
 
 @memoized_kernel
@@ -353,12 +335,10 @@ def irwin_hall_cdf(t: RationalLike, m: int) -> Fraction:
         return Fraction(0)
     if tt >= m:
         return Fraction(1)
-    total = alternating_symmetric_sum(
-        m,
-        term=lambda i: (tt - i) ** m,
-        condition=lambda i: i < tt,
-    )
-    return check_probability("irwin_hall_cdf", total / factorial(m))
+    q = tt.denominator
+    total = alternating_power_sum(tt.numerator, q, m, m)
+    value = Fraction(total, factorial(m) * q**m)
+    return check_probability("irwin_hall_cdf", value)
 
 
 class IrwinHallFastContext:
@@ -454,9 +434,10 @@ def irwin_hall_cdf_fast(
     The binomial weight and the ``1/m!`` normaliser are folded into
     each term's base as ``(C(m, i)/m!)**(1/m)`` via log-gamma, so the
     evaluation neither overflows nor underflows for large ``m`` -- the
-    regime where the exact path's integer arithmetic is slowest and
-    where naive float summation loses every digit to cancellation
-    (around ``m ~ 25`` at central ``t``).  Certification and fallback
+    regime where the exact path's integers are longest (each term is
+    about ``m * log2(denominator of t)`` bits) and where naive float
+    summation loses every digit to cancellation (around ``m ~ 25`` at
+    central ``t``).  Certification and fallback
     behave exactly as in :func:`sum_uniform_cdf_fast`.
 
     Calling this in a loop over a ``t`` grid recomputes the log-gamma
@@ -477,12 +458,9 @@ def irwin_hall_pdf(t: RationalLike, m: int) -> Fraction:
     tt = as_fraction(t)
     if tt <= 0 or tt >= m:
         return Fraction(0)
-    total = alternating_symmetric_sum(
-        m,
-        term=lambda i: (tt - i) ** (m - 1),
-        condition=lambda i: i < tt,
-    )
-    return total / factorial(m - 1)
+    q = tt.denominator
+    total = alternating_power_sum(tt.numerator, q, m, m - 1)
+    return Fraction(total, factorial(m - 1) * q ** (m - 1))
 
 
 @memoized_kernel
@@ -560,17 +538,10 @@ def joint_sum_below_and_inside_low(
             return Fraction(0)
     if tt <= 0:
         return Fraction(0)
-
-    total = Fraction(0)
-    for size in range(m + 1):
-        sign = (-1) ** size
-        for subset in combinations(alpha, size):
-            shift = sum(subset, Fraction(0))
-            if shift < tt:
-                total += sign * (tt - shift) ** m
-    return check_probability(
-        "joint_sum_below_and_inside_low", total / factorial(m)
-    )
+    scale, (top, *widths) = common_denominator([tt, *alpha])
+    total = alternating_subset_power_sum(top, widths, m)
+    value = Fraction(total, factorial(m) * scale**m)
+    return check_probability("joint_sum_below_and_inside_low", value)
 
 
 @memoized_kernel
@@ -633,25 +604,16 @@ def joint_sum_below_and_inside_high(
             raise ValidationError(
                 f"alphas[{i}] must be in [0, 1], got {v}"
             )
-    survival = Fraction(1)
-    for v in alpha:
-        survival *= 1 - v
-    if survival == 0:
-        # Some alpha_i == 1: P(x_i >= 1) = 0.
+    if 1 in alpha:
+        # P(x_i >= 1) = 0.
         return Fraction(0)
-    floor_sum = sum(alpha, Fraction(0))
-    if tt <= floor_sum:
+    scale, (top, *lows) = common_denominator([tt, *alpha])
+    if top <= sum(lows):
         return Fraction(0)
-    if tt >= m:
-        return survival
-    total = Fraction(0)
-    for size in range(m + 1):
-        sign = (-1) ** size
-        for subset in combinations(alpha, size):
-            shift = sum(subset, Fraction(0))
-            if size < m - tt + shift:
-                total += sign * (m - tt - size + shift) ** m
-    return check_probability(
-        "joint_sum_below_and_inside_high",
-        survival - total / factorial(m),
-    )
+    # Reflection x_i -> 1 - x_i: the sum runs over the widths 1 - alpha_l
+    # below m - t, and prod(1 - alpha_l) is the survival numerator.
+    widths = [scale - a for a in lows]
+    total = alternating_subset_power_sum(m * scale - top, widths, m)
+    value = Fraction(math.prod(widths) * factorial(m) - total,
+                     factorial(m) * scale**m)
+    return check_probability("joint_sum_below_and_inside_high", value)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.errors import ValidationError
 
@@ -27,8 +27,11 @@ RationalLike = Union[int, Fraction, str, float]
 
 __all__ = [
     "RationalLike",
+    "alternating_power_sum",
+    "alternating_subset_power_sum",
     "as_fraction",
     "binomial",
+    "common_denominator",
     "factorial",
     "falling_factorial",
     "integer_power",
@@ -107,6 +110,46 @@ def falling_factorial(n: int, k: int) -> int:
     for j in range(k):
         result *= n - j
     return result
+
+
+def common_denominator(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """``(D, [v * D for v in values])`` with ``D`` the least common
+    denominator of *values*, so every scaled value is an ``int``."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def alternating_power_sum(top: int, step: int, count: int, power: int) -> int:
+    """``sum_{i <= count, i*step < top} (-1)^i C(count, i) (top - i*step)^power``.
+
+    The symmetric inclusion-exclusion collapse (Corollary 2.6, the
+    Theorem 5.1 factors) over the integers, for a series scaled to one
+    common denominator.  *step* must be ``>= 0``, so the strict
+    condition holds for a prefix of the ``i``.
+    """
+    total = 0
+    for i in range(count + 1):
+        base = top - i * step
+        if base <= 0:
+            break
+        term = math.comb(count, i) * base**power
+        total += -term if i & 1 else term
+    return total
+
+
+def alternating_subset_power_sum(
+    top: int, weights: Sequence[int], power: int
+) -> int:
+    """``sum_{I : sum_I w < top} (-1)^|I| (top - sum_I w)^power``.
+
+    The subset form of :func:`alternating_power_sum` (Lemmas 2.4-2.7,
+    Proposition 2.2) over non-negative integer *weights*.  No superset
+    of a subset whose sum reaches *top* is enumerated.
+    """
+    corners = [(0, 1)] if top > 0 else []
+    for w in weights:
+        corners += [(s + w, -sign) for s, sign in corners if s + w < top]
+    return sum(sign * (top - s) ** power for s, sign in corners)
 
 
 def integer_power(base: Fraction, exponent: int) -> Fraction:

@@ -496,8 +496,56 @@ class TestCacheCli:
         from repro.cache import cache_enabled
         from repro.cli import main
 
+        before = cache_stats()["memory"]
         assert main(["case", "--n", "2", "--delta", "1", "--no-cache"]) == 0
-        assert not cache_enabled()
+        after = cache_stats()["memory"]
+        # no kernel touched the memory tier during the run ...
+        assert after["size"] == 0
+        assert (after["hits"], after["misses"]) == (
+            before["hits"], before["misses"]
+        )
+        # ... and the flag did not outlive the command
+        assert cache_enabled()
+
+    def test_cache_flags_last_for_one_command(self, tmp_path, capsys):
+        """``--cache-dir``, ``--max-bytes`` and ``--no-cache`` change
+        the process-wide cache for their own command only, also when
+        the command fails."""
+        from repro.cache import cache_enabled, configure_cache
+        from repro.cli import main
+
+        home = tmp_path / "home"
+        configure_cache(directory=home)
+        assert main(
+            [
+                "cache", "warm",
+                "--cache-dir", str(tmp_path / "other"),
+                "--max-bytes", "0",
+                "--ns", "2",
+                "--grid-size", "3",
+            ]
+        ) == 0
+        disk = cache_stats()["disk"]
+        assert (disk["directory"], disk["max_bytes"]) == (str(home), None)
+        assert main(["case", "--n", "2", "--delta", "1", "--no-cache"]) == 0
+        assert cache_enabled()
+        assert main(["case", "--n", "0", "--delta", "1", "--no-cache"]) == 2
+        assert cache_enabled()
+        configure_cache(directory=None)
+
+    def test_cache_flags_restored_when_the_command_raises(
+        self, monkeypatch
+    ):
+        import repro.cli
+        from repro.cache import cache_enabled
+
+        def crash(args):
+            raise RuntimeError("command crashed")
+
+        monkeypatch.setattr(repro.cli, "_dispatch_mapped", crash)
+        with pytest.raises(RuntimeError):
+            repro.cli.main(["case", "--n", "2", "--delta", "1", "--no-cache"])
+        assert cache_enabled()
 
     def test_cold_and_warm_cli_output_identical(self, tmp_path, capsys):
         """The acceptance property: a cold-cache run and a warm-cache

@@ -2,11 +2,8 @@
 
 from fractions import Fraction
 
-import pytest
-
 from repro.probability.inclusion_exclusion import (
     alternating_subset_sum,
-    alternating_symmetric_sum,
     subsets_satisfying,
 )
 from repro.symbolic.rational import binomial
@@ -55,36 +52,10 @@ class TestAlternatingSubsetSum:
         generic = alternating_subset_sum(
             elements, term=lambda subset, size: Fraction(size + 1, 3)
         )
-        symmetric = alternating_symmetric_sum(
-            4, term=lambda size: Fraction(size + 1, 3)
+        symmetric = sum(
+            (-1) ** i * binomial(4, i) * Fraction(i + 1, 3) for i in range(5)
         )
         assert generic == symmetric
-
-
-class TestAlternatingSymmetricSum:
-    def test_binomial_theorem(self):
-        # sum (-1)^i C(m, i) x^(m-i) = (x - 1)^m at x = 3
-        m = 5
-        total = alternating_symmetric_sum(
-            m, term=lambda i: Fraction(3) ** (m - i)
-        )
-        assert total == Fraction(2) ** m
-
-    def test_count_zero(self):
-        assert alternating_symmetric_sum(0, term=lambda i: Fraction(9)) == 9
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            alternating_symmetric_sum(-1, term=lambda i: Fraction(1))
-
-    def test_condition(self):
-        # only even sizes
-        total = alternating_symmetric_sum(
-            4,
-            term=lambda i: Fraction(1),
-            condition=lambda i: i % 2 == 0,
-        )
-        assert total == binomial(4, 0) + binomial(4, 2) + binomial(4, 4)
 
 
 class TestSubsetsSatisfying:
