@@ -1,13 +1,9 @@
 """Cost of the result-integrity subsystem.
 
-Two claims are measured and asserted:
-
-* the **guarded float fast path** beats the exact ``Fraction`` path on
-  the Irwin-Hall series once the integers grow (large ``m``), while
-  agreeing with it to the certified tolerance;
-* **contracts add < 5% overhead** to the Monte Carlo engine when
-  enabled in counting mode -- the hot loop is numpy trials, and the
-  post-condition is one comparison per estimate.
+One claim is measured and asserted: **contracts add < 5% overhead** to
+the Monte Carlo engine when enabled in counting mode -- the hot loop
+is numpy trials, and the post-condition is one comparison per
+estimate.
 
 Timings are interleaved best-of-N (see
 :mod:`benchmarks.test_bench_observability` for why back-to-back blocks
@@ -23,10 +19,6 @@ from conftest import record
 
 from repro.model.algorithms import SingleThresholdRule
 from repro.model.system import DistributedSystem
-from repro.probability.uniform_sums import (
-    irwin_hall_cdf,
-    irwin_hall_cdf_fast,
-)
 from repro.simulation.engine import MonteCarloEngine
 from repro.validation.contracts import use_contracts
 
@@ -35,8 +27,6 @@ REPEATS = 7
 #: Enabled (counting-mode) contracts may cost at most this fraction
 #: over the plain engine run (ISSUE target: < 5%).
 CONTRACTS_OVERHEAD_LIMIT = 0.05
-#: Evaluations per timing block for the CDF micro-benchmark.
-CDF_EVALS = 200
 
 
 def _interleaved_minima(fn_a, fn_b, repeats: int = REPEATS):
@@ -58,49 +48,6 @@ def _interleaved_minima(fn_a, fn_b, repeats: int = REPEATS):
         fn_b()
         times_b.append(time.perf_counter() - start)
     return min(times_a), min(times_b)
-
-
-def test_bench_fast_path_vs_exact():
-    """Certified float vs exact Fraction across the Irwin-Hall sizes.
-
-    The grid dodges half-integers so every case is a genuine interior
-    evaluation; ``m = 12`` keeps the fast path inside its certified
-    regime (the cancellation breakdown near ``m ~ 25`` is exercised --
-    as a fallback -- by the property suite, not timed here).
-    """
-    m = 12
-    grid = [Fraction(4 * k + 1, 4) for k in range(m)]
-    # 1e-8 certifies the whole grid including the upper tail, where the
-    # bound sits just above the default 1e-9 at this m.
-    rel_tol = 1e-8
-
-    def exact_path():
-        for t in grid * (CDF_EVALS // len(grid)):
-            irwin_hall_cdf(t, m)
-
-    def fast_path():
-        for t in grid * (CDF_EVALS // len(grid)):
-            irwin_hall_cdf_fast(t, m, rel_tol=rel_tol, fallback="raise")
-
-    t_exact, t_fast = _interleaved_minima(exact_path, fast_path)
-    speedup = t_exact / t_fast
-
-    for t in grid:
-        exact = float(irwin_hall_cdf(t, m))
-        assert abs(
-            irwin_hall_cdf_fast(t, m, rel_tol=rel_tol) - exact
-        ) <= max(rel_tol, rel_tol * exact)
-
-    record(
-        "validation fast path",
-        m=m,
-        exact_ms=round(t_exact * 1000, 2),
-        fast_ms=round(t_fast * 1000, 2),
-        speedup=round(speedup, 2),
-    )
-    # The float series with log-gamma coefficients must not lose to
-    # exact big-integer arithmetic at this size.
-    assert speedup > 1.0
 
 
 def test_bench_contracts_overhead():

@@ -22,7 +22,8 @@ subpackages hold the full API:
 * :mod:`repro.optimize` -- exact and numeric optimisers;
 * :mod:`repro.simulation` -- the Monte Carlo validation testbed;
 * :mod:`repro.validation` -- runtime contracts, the analytic/MC
-  cross-validation oracle, and the certified float fast path;
+  cross-validation oracle, and the ``Enclosure`` every tier answers
+  with;
 * :mod:`repro.baselines` -- comparison protocols;
 * :mod:`repro.experiments` -- regeneration of every figure and table.
 """
@@ -39,7 +40,6 @@ from repro.core.oblivious import (
 from repro.core.winning import exact_winning_probability
 from repro.errors import (
     ContractViolation,
-    NumericalInstabilityError,
     ReproError,
     ValidationError,
 )
@@ -55,7 +55,6 @@ __all__ = [
     "ContractViolation",
     "DistributedSystem",
     "MonteCarloEngine",
-    "NumericalInstabilityError",
     "ObliviousCoin",
     "Outcome",
     "ReproError",

@@ -19,9 +19,9 @@ vectorised Horner:
   scalar and batch values are bit-for-bit equal on every point;
 * **certify** -- alongside every value a running a-posteriori error
   bound is accumulated (the magnitude recurrence
-  ``b <- b*|x| + |c|``, scaled by the standard Horner rounding factor,
-  in the spirit of :mod:`repro.validation.fastpath`), so each point is
-  either *certified* to the requested tolerance or explicitly not;
+  ``b <- b*|x| + |c|``, scaled by the standard Horner rounding
+  factor), so each point is either *certified* to the requested
+  tolerance or explicitly not;
 * **fall back** -- uncertified points are recomputed by the exact
   ``Fraction`` kernel (the compiled object keeps its source
   polynomial), and the exact values are reported alongside so callers
@@ -256,9 +256,7 @@ class CompiledPiecewise:
 
         Every point is either *certified* (its bound passes
         :func:`~repro.validation.fastpath.certifies`) or recomputed by
-        the exact ``Fraction`` kernel at ``Fraction(x)`` -- the same
-        fallback policy as the scalar fast paths of
-        :mod:`repro.probability.uniform_sums`.  Counts
+        the exact ``Fraction`` kernel at ``Fraction(x)``.  Counts
         ``batch.points`` / ``batch.certified`` / ``batch.fallbacks``.
         """
         values, bounds = self.evaluate_with_bound(xs)

@@ -24,8 +24,8 @@ where each factor is an Irwin-Hall CDF after rescaling:
   factors are plain ``IH(delta, .)``.
 
 Each factor is answered by the regime dispatcher
-(:func:`repro.probability.regimes.irwin_hall_cdf_regime`): exact for
-tiny orders, certified floats for medium ones, the Berry-Esseen /
+(:func:`repro.probability.regimes.irwin_hall_cdf_regime`): exact up
+to the policy's ceiling (order 160 by default), the Berry-Esseen /
 Edgeworth tier for the (dominant) large orders.  Per-factor bounds
 ``e0, e1`` combine into a per-term bound
 ``e0 + e1 + e0 e1`` (from ``|v0 v1 - F0 F1|`` with both factors in
@@ -101,7 +101,7 @@ def _ih_factor(
         return (0.0, 0.0)
     if t >= m:
         return (1.0, 0.0)
-    if m > policy.certified_max_m:
+    if m > policy.exact_ceiling:
         return irwin_hall_asymptotic_value_bound(t, m, policy.method)
     result = irwin_hall_cdf_regime(t, m, policy)
     return (result.value, result.error_bound)

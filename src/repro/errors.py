@@ -17,9 +17,6 @@ genuine bug surfacing as an arbitrary exception.  The hierarchy:
     monotonicity, a volume exceeded its subadditive cap.  Unlike
     ``ValidationError`` this signals a defect *inside* the library,
     not bad input;
-``NumericalInstabilityError`` (also an :class:`ArithmeticError`)
-    the guarded float fast path could not certify its error bound and
-    the caller forbade the exact fallback;
 ``PiecewiseDomainError`` (also a :class:`ValueError`)
     a piecewise polynomial was built from a malformed piece layout --
     zero-width or inverted pieces, non-contiguous intervals,
@@ -58,7 +55,6 @@ from __future__ import annotations
 __all__ = [
     "ContractViolation",
     "DistributedError",
-    "NumericalInstabilityError",
     "PiecewiseDomainError",
     "ReproError",
     "RunInterruptedError",
@@ -88,14 +84,6 @@ class ContractViolation(ReproError):
     def __init__(self, contract: str, message: str):
         super().__init__(f"contract {contract!r} violated: {message}")
         self.contract = contract
-
-
-class NumericalInstabilityError(ReproError, ArithmeticError):
-    """The guarded float fast path could not certify its result.
-
-    Raised only when the caller explicitly forbids the exact
-    ``Fraction`` fallback (``fallback="raise"``); the default policy
-    falls back silently and counts the event in the metrics."""
 
 
 class PiecewiseDomainError(ReproError, ValueError):

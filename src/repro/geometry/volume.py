@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence, Tuple
 
 from repro.cache import memoized_kernel
@@ -44,18 +43,12 @@ from repro.validation.contracts import (
     check_volume_subadditive,
     contracts_enabled,
 )
-from repro.validation.fastpath import (
-    EPS,
-    certified_alternating_sum,
-    resolve_guarded,
-)
 
 __all__ = [
     "SimplexBoxIntersection",
     "corner_simplex_volume",
     "intersection_volume",
     "intersection_volume_by_integration",
-    "intersection_volume_fast",
 ]
 
 
@@ -125,55 +118,6 @@ def intersection_volume(
             [OrthogonalSimplex(s).volume(), math.prod(p)],
         )
     return volume
-
-
-def intersection_volume_fast(
-    sigma: Sequence[RationalLike],
-    pi: Sequence[RationalLike],
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-15,
-    fallback: str = "exact",
-) -> float:
-    """Guarded float fast path for :func:`intersection_volume`.
-
-    Evaluates the Proposition 2.2 alternating series in compensated
-    float arithmetic with a running error bound (see
-    :mod:`repro.validation.fastpath`); returns the float when the
-    bound certifies it and otherwise falls back to the exact
-    ``Fraction`` path (``fallback="exact"``, counted in the metrics)
-    or raises :class:`~repro.errors.NumericalInstabilityError`
-    (``fallback="raise"``).
-    """
-    s, p = _validated_sides(sigma, pi)
-    m = len(s)
-    ratios = [float(p[l] / s[l]) for l in range(m)]
-    prefactor = Fraction(1)
-    for v in s:
-        prefactor *= v
-    prefactor /= factorial(m)
-
-    def bases():
-        for size in range(m + 1):
-            sign = 1 if size % 2 == 0 else -1
-            for subset in combinations(ratios, size):
-                ratio_sum = math.fsum(subset)
-                error = 3.0 * EPS * (1.0 + ratio_sum)
-                yield (sign, 1.0 - ratio_sum, error)
-
-    guarded = certified_alternating_sum(
-        bases(),
-        m,
-        float(1 / prefactor),
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-    )
-    value = resolve_guarded(
-        "intersection_volume",
-        guarded,
-        lambda: intersection_volume(s, p),
-        fallback=fallback,
-    )
-    return max(0.0, value)
 
 
 def intersection_volume_by_integration(

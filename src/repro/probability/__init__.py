@@ -15,9 +15,9 @@ variables, derived from the geometric volume formula of Proposition 2.2:
 * :mod:`repro.probability.asymptotics` -- normal / Edgeworth
   approximations with rigorous Berry-Esseen-style error bounds, for
   the large-``m`` regime the exact kernels cannot reach.
-* :mod:`repro.probability.regimes` -- per-query dispatch among the
-  exact, certified-float and asymptotic tiers, returning values
-  tagged with their regime and guaranteed error.
+* :mod:`repro.probability.regimes` -- per-query dispatch between the
+  exact and asymptotic tiers, returning values tagged with their
+  regime and guaranteed error.
 """
 
 from repro.probability.asymptotics import (

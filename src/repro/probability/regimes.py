@@ -1,21 +1,17 @@
 """Regime dispatch for sum-of-uniforms CDF queries.
 
-One query interface, three evaluation tiers, chosen per call:
+One query interface, two evaluation tiers, chosen per call by the
+order ``m``:
 
-* **exact** (small ``m``) -- the inclusion-exclusion kernels of
+* **exact** (``m`` up to the policy's ceiling, 160 by default) -- the
+  inclusion-exclusion kernel of
   :mod:`repro.probability.uniform_sums`: one integer sum and one
   ``Fraction`` per query, linear in ``m``.  The only error is the
   final correctly-rounded conversion to ``float`` (``<= eps/2``
   relative), reported as such; the exact ``Fraction`` rides along.
-* **certified** (medium ``m``) -- the compensated-float fast path
-  with its a-posteriori certificate.  The reported bound is the
-  default certification threshold of
-  :func:`~repro.validation.fastpath.certifies`; when the certificate
-  fails the dispatcher transparently degrades to the exact tier (and
-  the fast path's own metrics count the fallback).
-* **asymptotic** (large ``m``) -- the Berry-Esseen / Edgeworth tier of
-  :mod:`repro.probability.asymptotics`, ``O(1)`` for any ``m`` with a
-  rigorous analytic bound.
+* **asymptotic** (larger ``m``) -- the Berry-Esseen / Edgeworth tier
+  of :mod:`repro.probability.asymptotics`, ``O(1)`` for any ``m``
+  with a rigorous analytic bound.
 
 Every result is an :class:`~repro.validation.fastpath.Enclosure`
 recording which tier answered and the guaranteed two-sided error
@@ -31,30 +27,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from functools import cached_property
 
-from repro.errors import NumericalInstabilityError, ValidationError
+from repro.errors import ValidationError
 from repro.probability.asymptotics import (
     _check_method,
     irwin_hall_cdf_asymptotic,
 )
-from repro.probability.uniform_sums import (
-    IrwinHallFastContext,
-    irwin_hall_cdf,
-)
+from repro.probability.uniform_sums import irwin_hall_cdf
 from repro.symbolic.rational import RationalLike, as_fraction
 from repro.validation.fastpath import (
     TIER_ASYMPTOTIC as REGIME_ASYMPTOTIC,
-    TIER_CERTIFIED as REGIME_CERTIFIED,
     TIER_EXACT as REGIME_EXACT,
     Enclosure,
-    _tolerance,
 )
 
 __all__ = [
     "DEFAULT_POLICY",
     "REGIME_ASYMPTOTIC",
-    "REGIME_CERTIFIED",
     "REGIME_EXACT",
     "RegimePolicy",
     "irwin_hall_cdf_regime",
@@ -65,13 +55,14 @@ __all__ = [
 class RegimePolicy:
     """Crossover thresholds and the tail budget for regime dispatch.
 
-    ``exact_max_m`` / ``certified_max_m`` bound the Irwin-Hall order
-    handled by the exact and certified tiers; anything larger goes
-    asymptotic.  ``exact_max_n`` is the player-count ceiling for the
-    exact winning-probability formulas (the ``O(n^2)``/``O(2^n)``
-    layer above this module).  ``tail_tol`` is the truncation budget
-    the binomial-mixture evaluator may spend on discarding negligible
-    mixture terms; it is added verbatim to the reported error bound.
+    ``exact_max_m`` and ``certified_max_m`` both bound the Irwin-Hall
+    order answered exactly; :attr:`exact_ceiling` is the larger of the
+    two, and anything above it goes asymptotic.  ``exact_max_n`` is
+    the player-count ceiling for the exact winning-probability
+    formulas (the ``O(n^2)``/``O(2^n)`` layer above this module).
+    ``tail_tol`` is the truncation budget the binomial-mixture
+    evaluator may spend on discarding negligible mixture terms; it is
+    added verbatim to the reported error bound.
     """
 
     exact_max_n: int = 20
@@ -89,6 +80,13 @@ class RegimePolicy:
                 f"tail_tol must be positive, got {self.tail_tol}"
             )
 
+    @cached_property
+    def exact_ceiling(self) -> int:
+        """The largest Irwin-Hall order the exact tier answers.
+
+        Cached: the binomial mixture reads it once per factor."""
+        return max(self.exact_max_m, self.certified_max_m)
+
 
 DEFAULT_POLICY = RegimePolicy()
 
@@ -102,39 +100,15 @@ def _count(regime: str) -> None:
         instr.increment(f"asymptotics.dispatch.{regime}")
 
 
-# Bounded cache of hoisted fast-path contexts: the mixture evaluator
-# asks for a narrow band of consecutive m values, so a small map is
-# enough; evicting wholesale keeps the bookkeeping trivial.
-_CONTEXT_CACHE: Dict[int, IrwinHallFastContext] = {}
-_CONTEXT_CACHE_MAX = 256
-
-
-def _context(m: int) -> IrwinHallFastContext:
-    ctx = _CONTEXT_CACHE.get(m)
-    if ctx is None:
-        if len(_CONTEXT_CACHE) >= _CONTEXT_CACHE_MAX:
-            _CONTEXT_CACHE.clear()
-        ctx = IrwinHallFastContext(m)
-        _CONTEXT_CACHE[m] = ctx
-    return ctx
-
-
-def _exact_value(tt: Fraction, m: int) -> Enclosure:
-    _count(REGIME_EXACT)
-    return Enclosure.of_fraction(irwin_hall_cdf(tt, m), "inclusion-exclusion")
-
-
 def irwin_hall_cdf_regime(
     t: RationalLike, m: int, policy: RegimePolicy = DEFAULT_POLICY
 ) -> Enclosure:
     """``P(sum of m iid U[0,1] <= t)`` via the cheapest adequate tier.
 
-    Dispatch: ``m <= policy.exact_max_m`` -> exact Fraction kernel;
-    ``m <= policy.certified_max_m`` -> certified fast path (degrading
-    to exact if the certificate fails); larger ``m`` -> asymptotic
-    tier.  The returned :class:`~repro.validation.fastpath.Enclosure`
-    records the tier that actually produced the value and its
-    guaranteed error bound.
+    Dispatch: ``m <= policy.exact_ceiling`` -> exact Fraction kernel;
+    larger ``m`` -> asymptotic tier.  The returned
+    :class:`~repro.validation.fastpath.Enclosure` records the tier that
+    produced the value and its guaranteed error bound.
     """
     if m < 0:
         raise ValidationError(f"m must be >= 0, got {m}")
@@ -144,16 +118,10 @@ def irwin_hall_cdf_regime(
         return Enclosure.of_fraction(
             Fraction(int(tt >= 0)), "empty-sum", error_bound=0.0
         )
-    if m <= policy.exact_max_m:
-        return _exact_value(tt, m)
-    if m <= policy.certified_max_m:
-        try:
-            value = _context(m).cdf(tt, fallback="raise")
-        except NumericalInstabilityError:
-            return _exact_value(tt, m)
-        _count(REGIME_CERTIFIED)
-        return Enclosure(
-            value, _tolerance(value), REGIME_CERTIFIED, "compensated-float"
+    if m <= policy.exact_ceiling:
+        _count(REGIME_EXACT)
+        return Enclosure.of_fraction(
+            irwin_hall_cdf(tt, m), "inclusion-exclusion"
         )
     _count(REGIME_ASYMPTOTIC)
     # Clamped to the support first: float() of a far-out-of-range

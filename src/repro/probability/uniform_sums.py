@@ -44,18 +44,16 @@ sum collapsing by accident; each is pinned by a dedicated test):
   grids evaluate without special-casing by the caller.  Negative
   widths raise :class:`~repro.errors.ValidationError`.
 
-The ``*_fast`` variants evaluate the same alternating series in
-compensated float arithmetic with a running error bound (see
-:mod:`repro.validation.fastpath`): they return the float when the
-bound certifies it and transparently fall back to the exact
-``Fraction`` path otherwise, counting the fallback in the metrics.
+There is no float variant: a float with a certified bound comes from
+:func:`repro.probability.regimes.irwin_hall_cdf_regime`, which rounds
+the exact Irwin-Hall value for orders up to the policy's ceiling (160
+by default) and answers larger orders from the asymptotic tier.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import List, Sequence
 
 from repro.cache import memoized_kernel
@@ -69,24 +67,14 @@ from repro.symbolic.rational import (
     factorial,
 )
 from repro.validation.contracts import check_probability
-from repro.validation.fastpath import (
-    EPS,
-    _UNCERTIFIABLE,
-    certified_alternating_sum,
-    resolve_guarded,
-)
 
 __all__ = [
-    "IrwinHallFastContext",
-    "SumUniformFastContext",
     "irwin_hall_cdf",
-    "irwin_hall_cdf_fast",
     "irwin_hall_pdf",
     "joint_sum_below_and_inside_boxes",
     "joint_sum_below_and_inside_high",
     "joint_sum_below_and_inside_low",
     "sum_uniform_cdf",
-    "sum_uniform_cdf_fast",
     "sum_uniform_pdf",
     "sum_uniform_tail_cdf",
 ]
@@ -117,8 +105,7 @@ def sum_uniform_cdf(t: RationalLike, uppers: Sequence[RationalLike]) -> Fraction
     dropped; if every entry is zero-width the empty-sum convention
     applies.  Exponential in ``len(uppers)`` via subset enumeration --
     fine for the paper's small ``m``; use :func:`irwin_hall_cdf` for the
-    identical-interval case, which is linear, or
-    :func:`sum_uniform_cdf_fast` for a certified float.
+    identical-interval case, which is linear.
     """
     pi = _validated_widths(uppers, "uppers")
     m = len(pi)
@@ -134,159 +121,6 @@ def sum_uniform_cdf(t: RationalLike, uppers: Sequence[RationalLike]) -> Fraction
     total = alternating_subset_power_sum(top, widths, m)
     value = Fraction(total, factorial(m) * math.prod(widths))
     return check_probability("sum_uniform_cdf", value)
-
-
-class SumUniformFastContext:
-    """Hoisted precomputation for grid evaluation of :func:`sum_uniform_cdf_fast`.
-
-    The Lemma 2.4 series depends on *t* only through the per-subset
-    base ``t - shift``: the subset enumeration, the exact subset shifts
-    (an ``fsum`` each), the normaliser and the float conversions are
-    all functions of *uppers* alone.  A loop over a ``t`` grid used to
-    redo that ``O(2^m)`` prefix on every call; building the context
-    once hoists it, and :meth:`cdf` then reuses it per point.
-
-    The per-point arithmetic -- term order, base subtraction, error
-    model, certification, fallback -- is *identical* to a fresh
-    :func:`sum_uniform_cdf_fast` call, so the hoisted path returns
-    bit-identical certified values (pinned by a regression test).
-    """
-
-    __slots__ = (
-        "_pi",
-        "_m",
-        "_normaliser",
-        "_normaliser_f",
-        "_t_span",
-        "_shifts",
-        "_float_ready",
-    )
-
-    def __init__(self, uppers: Sequence[RationalLike]):
-        self._pi = _validated_widths(uppers, "uppers")
-        self._m = len(self._pi)
-        normaliser = factorial(self._m)
-        for v in self._pi:
-            normaliser *= v
-        self._normaliser = normaliser
-        self._t_span = sum(self._pi, Fraction(0))
-        # The float mirror of the exact inputs.  ``float(Fraction)``
-        # RAISES OverflowError past ~1e308 (m! times wide intervals
-        # gets there quickly), and extreme widths can also round the
-        # normaliser to inf or to 0.0 -- in every such case the fast
-        # path cannot even be attempted, so the context is marked
-        # float-unready and :meth:`cdf` goes straight to the fallback
-        # policy instead of blowing up.
-        try:
-            pi_f = [float(v) for v in self._pi]
-            normaliser_f = float(normaliser)
-            float_ready = (
-                math.isfinite(normaliser_f)
-                and normaliser_f != 0.0
-                and all(map(math.isfinite, pi_f))
-            )
-        except OverflowError:
-            pi_f = []
-            normaliser_f = math.inf
-            float_ready = False
-        self._normaliser_f = normaliser_f
-        self._float_ready = float_ready
-        # (sign, shift) per subset, in the exact enumeration order of
-        # the un-hoisted implementation: sizes ascending, and within a
-        # size the itertools.combinations order.
-        shifts = []
-        if float_ready:
-            for size in range(self._m + 1):
-                sign = 1 if size % 2 == 0 else -1
-                for subset in combinations(pi_f, size):
-                    shifts.append((sign, math.fsum(subset)))
-        self._shifts = tuple(shifts)
-
-    @property
-    def m(self) -> int:
-        """Number of (positive-width) summands."""
-        return self._m
-
-    def cdf(
-        self,
-        t: RationalLike,
-        rel_tol: float = 1e-9,
-        abs_tol: float = 1e-15,
-        fallback: str = "exact",
-    ) -> float:
-        """One guarded evaluation, bit-identical to
-        :func:`sum_uniform_cdf_fast` at the same arguments."""
-        tt = as_fraction(t)
-        if self._m == 0:
-            return 1.0 if tt >= 0 else 0.0
-        if tt <= 0:
-            return 0.0
-        if tt >= self._t_span:
-            return 1.0
-        t_f = math.inf
-        if self._float_ready:
-            try:
-                t_f = float(tt)
-            except OverflowError:
-                t_f = math.inf
-        if not math.isfinite(t_f):
-            # Inputs outside float range: the fast path cannot run, but
-            # the fallback contract still must -- hand resolve_guarded
-            # an uncertified sentinel so the event is counted as
-            # ``fastpath.fallbacks`` and the fallback="raise" policy
-            # raises NumericalInstabilityError instead of OverflowError.
-            guarded = _UNCERTIFIABLE
-        else:
-
-            def bases():
-                for sign, shift in self._shifts:
-                    # t and the shift are correctly-rounded conversions
-                    # and an exact fsum; the subtraction adds one more
-                    # rounding.
-                    error = 3.0 * EPS * (t_f + shift)
-                    yield (sign, t_f - shift, error)
-
-            guarded = certified_alternating_sum(
-                bases(),
-                self._m,
-                self._normaliser_f,
-                rel_tol=rel_tol,
-                abs_tol=abs_tol,
-            )
-        value = resolve_guarded(
-            "sum_uniform_cdf",
-            guarded,
-            lambda: sum_uniform_cdf(tt, self._pi),
-            fallback=fallback,
-        )
-        return min(1.0, max(0.0, value))
-
-
-def sum_uniform_cdf_fast(
-    t: RationalLike,
-    uppers: Sequence[RationalLike],
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-15,
-    fallback: str = "exact",
-) -> float:
-    """Guarded float fast path for :func:`sum_uniform_cdf`.
-
-    Evaluates the Lemma 2.4 alternating series in compensated float
-    arithmetic with a running error bound; returns the float when the
-    bound certifies it to *rel_tol* / *abs_tol* and otherwise falls
-    back to the exact path (``fallback="exact"``, counted in the
-    metrics as ``fastpath.fallbacks``) or raises
-    :class:`~repro.errors.NumericalInstabilityError`
-    (``fallback="raise"``).
-
-    Calling this in a loop over a ``t`` grid redoes the ``O(2^m)``
-    subset precomputation every time; build a
-    :class:`SumUniformFastContext` once instead (this function is a
-    thin wrapper over a fresh context, so the two paths cannot drift).
-    """
-    return SumUniformFastContext(uppers).cdf(
-        t, rel_tol=rel_tol, abs_tol=abs_tol, fallback=fallback
-    )
 
 
 @memoized_kernel
@@ -339,115 +173,6 @@ def irwin_hall_cdf(t: RationalLike, m: int) -> Fraction:
     total = alternating_power_sum(tt.numerator, q, m, m)
     value = Fraction(total, factorial(m) * q**m)
     return check_probability("irwin_hall_cdf", value)
-
-
-class IrwinHallFastContext:
-    """Hoisted precomputation for grid evaluation of :func:`irwin_hall_cdf_fast`.
-
-    The per-term weight ``(C(m, i)/m!)**(1/m)`` (taken via log-gamma)
-    depends only on ``m`` and ``i``; a scalar loop over a ``t`` grid
-    used to recompute the two ``lgamma`` calls and the ``exp`` for
-    every term of every point.  The context computes the per-``i``
-    ``(sign, scale, log_coeff)`` triples once; :meth:`cdf` replays the
-    same term order (including the ``i < t`` truncation) with the same
-    arithmetic, so certified values are bit-identical to the un-hoisted
-    path (pinned by a regression test).
-    """
-
-    __slots__ = ("_m", "_terms")
-
-    def __init__(self, m: int):
-        if m < 0:
-            raise ValidationError(f"m must be >= 0, got {m}")
-        self._m = m
-        terms = []
-        for i in range(m + 1):
-            sign = 1 if i % 2 == 0 else -1
-            if m == 0:
-                terms.append((sign, 1.0, 0.0))
-                continue
-            # (C(m, i) / m!) ** (1/m) = (i! (m-i)!) ** (-1/m)
-            log_coeff = -(math.lgamma(i + 1) + math.lgamma(m - i + 1))
-            scale = math.exp(log_coeff / m)
-            terms.append((sign, scale, log_coeff))
-        self._terms = tuple(terms)
-
-    @property
-    def m(self) -> int:
-        """Number of unit-uniform summands."""
-        return self._m
-
-    def cdf(
-        self,
-        t: RationalLike,
-        rel_tol: float = 1e-9,
-        abs_tol: float = 1e-15,
-        fallback: str = "exact",
-    ) -> float:
-        """One guarded evaluation, bit-identical to
-        :func:`irwin_hall_cdf_fast` at the same arguments."""
-        m = self._m
-        tt = as_fraction(t)
-        if m == 0:
-            return 1.0 if tt >= 0 else 0.0
-        if tt <= 0:
-            return 0.0
-        if tt >= m:
-            return 1.0
-        t_f = float(tt)
-
-        def bases():
-            for i, (sign, scale, log_coeff) in enumerate(self._terms):
-                if not i < tt:
-                    break
-                base = scale * (t_f - i)
-                # conversion + subtraction errors, plus the log/exp
-                # route's relative error amplified by the later m-th
-                # power is covered by the derivative term in the
-                # certifier.
-                error = scale * 2.0 * EPS * (t_f + i) + abs(base) * EPS * (
-                    abs(log_coeff) / m + 4.0
-                )
-                yield (sign, base, error)
-
-        guarded = certified_alternating_sum(
-            bases(), m, 1.0, rel_tol=rel_tol, abs_tol=abs_tol
-        )
-        value = resolve_guarded(
-            "irwin_hall_cdf",
-            guarded,
-            lambda: irwin_hall_cdf(tt, m),
-            fallback=fallback,
-        )
-        return min(1.0, max(0.0, value))
-
-
-def irwin_hall_cdf_fast(
-    t: RationalLike,
-    m: int,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-15,
-    fallback: str = "exact",
-) -> float:
-    """Guarded float fast path for :func:`irwin_hall_cdf`.
-
-    The binomial weight and the ``1/m!`` normaliser are folded into
-    each term's base as ``(C(m, i)/m!)**(1/m)`` via log-gamma, so the
-    evaluation neither overflows nor underflows for large ``m`` -- the
-    regime where the exact path's integers are longest (each term is
-    about ``m * log2(denominator of t)`` bits) and where naive float
-    summation loses every digit to cancellation (around ``m ~ 25`` at
-    central ``t``).  Certification and fallback
-    behave exactly as in :func:`sum_uniform_cdf_fast`.
-
-    Calling this in a loop over a ``t`` grid recomputes the log-gamma
-    weights every time; build an :class:`IrwinHallFastContext` once
-    instead (this function is a thin wrapper over a fresh context, so
-    the two paths cannot drift).
-    """
-    return IrwinHallFastContext(m).cdf(
-        t, rel_tol=rel_tol, abs_tol=abs_tol, fallback=fallback
-    )
 
 
 @memoized_kernel

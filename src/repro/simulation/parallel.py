@@ -832,8 +832,12 @@ def _run_pool(
                 stats["pool_rebuilds"] += 1
                 _kill_pool(pool)
                 pool = new_pool()
-    finally:
+    except BaseException:
         _kill_pool(pool)
+        raise
+    # Every shard is in: join the workers and the executor's manager
+    # thread now, so none is left closing its pipe at interpreter exit.
+    pool.shutdown(wait=True)
 
 
 def estimate_winning_probability_sharded(

@@ -135,7 +135,7 @@ def sweep_thresholds(
     With ``batch=True`` the exact column is served by the vectorised
     batch layer (:mod:`repro.batch`): the grid is evaluated **at the
     float64 image of each beta** in one compiled pass, each point's
-    value is either certified within the fastpath error bound (and
+    value is either certified within the batch layer's error bound (and
     recorded as the certified float's rational image) or served by the
     exact ``Fraction`` kernel at that float point.  The returned
     result carries :class:`BatchSweepStats`; ``sweep.batch_points`` is

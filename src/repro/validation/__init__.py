@@ -1,4 +1,4 @@
-"""Result-integrity subsystem: contracts, cross-validation, fast paths.
+"""Result-integrity subsystem: contracts, enclosures, cross-validation.
 
 Three layers of defence against silently wrong numbers:
 
@@ -10,17 +10,17 @@ Three layers of defence against silently wrong numbers:
   per call site, mirroring the observability layer); violations are
   counted through the active :class:`~repro.observability.MetricsRegistry`
   and raise :class:`~repro.errors.ContractViolation` in strict mode.
-* :mod:`~repro.validation.fastpath` -- compensated (Neumaier) float
-  evaluation of the alternating inclusion-exclusion series with a
-  running error bound; a result is returned only when the bound
-  certifies it, otherwise callers fall back to the exact ``Fraction``
-  path (the fallback is counted in the metrics).
+* :mod:`~repro.validation.fastpath` -- the
+  :class:`~repro.validation.fastpath.Enclosure` every tier answers
+  with (a float, a guaranteed error bound and the tier's name) and
+  :func:`~repro.validation.fastpath.certifies`, the one tolerance
+  predicate the batch and serve layers share.
 * :mod:`~repro.validation.oracle` -- the analytic <-> Monte Carlo <->
   exact-centralized cross-validation oracle behind ``repro check``:
   for every case it runs two independent analytic routes, the sharded
-  Monte Carlo engine, the geometry witness and the guarded fast path
-  against each other and produces a machine-readable agreement report
-  with per-case z-scores and a pass/fail verdict.
+  Monte Carlo engine and the geometry witness against each other and
+  produces a machine-readable agreement report with per-case z-scores
+  and a pass/fail verdict.
 
 ``contracts`` and ``fastpath`` sit *below* the numeric layers (they
 import nothing but ``repro.errors`` and ``repro.observability``) so
@@ -43,11 +43,7 @@ from repro.validation.contracts import (
     use_contracts,
     violation_count,
 )
-from repro.validation.fastpath import (
-    Enclosure,
-    certified_alternating_sum,
-    neumaier_sum,
-)
+from repro.validation.fastpath import Enclosure
 
 __all__ = [
     "AgreementReport",
@@ -58,7 +54,6 @@ __all__ = [
     "OracleCase",
     "default_asymptotic_grid",
     "run_asymptotic_agreement",
-    "certified_alternating_sum",
     "check_cdf_profile",
     "check_probability",
     "check_symmetry",
@@ -68,7 +63,6 @@ __all__ = [
     "default_case_grid",
     "disable_contracts",
     "enable_contracts",
-    "neumaier_sum",
     "run_cross_validation",
     "use_contracts",
     "violation_count",

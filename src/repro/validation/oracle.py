@@ -23,8 +23,7 @@ On top of the route comparison each case checks, where applicable:
   ``analytic <= centralized_feasibility_exact(n, delta)``;
 * the **geometry witness** (``n <= 4``): Proposition 2.2's
   inclusion-exclusion volume against the recursive-integration route,
-  exactly, plus the guarded float fast paths against their exact
-  values within the certified tolerance;
+  exactly;
 * a clean **contract tally**: the analytic evaluations above run with
   contracts enabled and must record zero violations.
 
@@ -59,14 +58,10 @@ __all__ = [
     "run_cross_validation",
 ]
 
-#: Largest ``n`` for which the geometry witness (recursive integration
-#: and the volume fast path) runs; the integration route is exact but
-#: exponentially slow to expand, so the oracle caps it.
+#: Largest ``n`` for which the geometry witness (recursive integration)
+#: runs; the integration route is exact but exponentially slow to
+#: expand, so the oracle caps it.
 GEOMETRY_WITNESS_MAX_N = 4
-
-#: Relative tolerance the fast paths are asked to certify, and within
-#: which their results must match the exact values.
-FASTPATH_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,6 @@ class CaseReport:
     centralized_bound: Optional[Fraction] = None
     centralized_ok: Optional[bool] = None
     geometry_agree: Optional[bool] = None
-    fastpath_ok: Optional[bool] = None
     contracts_clean: bool = False
     failures: List[str] = field(default_factory=list)
 
@@ -138,7 +132,6 @@ class CaseReport:
             ),
             "centralized_ok": self.centralized_ok,
             "geometry_agree": self.geometry_agree,
-            "fastpath_ok": self.fastpath_ok,
             "contracts_clean": self.contracts_clean,
             "passed": self.passed,
             "failures": list(self.failures),
@@ -290,39 +283,21 @@ def _build_system(case: OracleCase):
     return DistributedSystem(algs, case.delta)
 
 
-def _geometry_checks(case: OracleCase) -> Tuple[bool, bool]:
-    """Route agreement and fast-path fidelity for the case's geometry.
-
-    Uses the simplex/box pair underlying ``P(sum x_i <= delta)`` with
-    unit boxes: ``sigma = (delta, ..., delta)``, ``pi = (1, ..., 1)``.
+def _geometry_agrees(case: OracleCase) -> bool:
+    """Whether Proposition 2.2 and the integration witness agree on the
+    simplex/box pair underlying ``P(sum x_i <= delta)`` with unit
+    boxes: ``sigma = (delta, ..., delta)``, ``pi = (1, ..., 1)``.
     """
     from repro.geometry.volume import (
         intersection_volume,
         intersection_volume_by_integration,
-        intersection_volume_fast,
-    )
-    from repro.probability.uniform_sums import (
-        sum_uniform_cdf,
-        sum_uniform_cdf_fast,
     )
 
     sigma = [case.delta] * case.n
     pi = [Fraction(1)] * case.n
-    exact = intersection_volume(sigma, pi)
-    witness = intersection_volume_by_integration(sigma, pi)
-    geometry_agree = exact == witness
-
-    tolerance = FASTPATH_REL_TOL
-    fast_volume = intersection_volume_fast(sigma, pi)
-    ok_volume = abs(fast_volume - float(exact)) <= max(
-        tolerance, tolerance * abs(float(exact))
-    )
-    exact_cdf = sum_uniform_cdf(case.delta, [1] * case.n)
-    fast_cdf = sum_uniform_cdf_fast(float(case.delta), [1.0] * case.n)
-    ok_cdf = abs(fast_cdf - float(exact_cdf)) <= max(
-        tolerance, tolerance * abs(float(exact_cdf))
-    )
-    return geometry_agree, ok_volume and ok_cdf
+    return intersection_volume(
+        sigma, pi
+    ) == intersection_volume_by_integration(sigma, pi)
 
 
 def _case_z_score(
@@ -399,18 +374,11 @@ def run_cross_validation(
                     )
 
             if case.n <= GEOMETRY_WITNESS_MAX_N:
-                geometry_agree, fastpath_ok = _geometry_checks(case)
-                report.geometry_agree = geometry_agree
-                report.fastpath_ok = fastpath_ok
-                if not geometry_agree:
+                report.geometry_agree = _geometry_agrees(case)
+                if not report.geometry_agree:
                     report.failures.append(
                         "Proposition 2.2 volume disagrees with the "
                         "integration witness"
-                    )
-                if not fastpath_ok:
-                    report.failures.append(
-                        "float fast path strayed outside its certified "
-                        "tolerance"
                     )
 
             report.contracts_clean = violation_count() == 0

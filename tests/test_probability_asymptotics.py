@@ -8,6 +8,7 @@ near-optimal threshold search).
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,6 @@ from repro.probability.asymptotics import (
 from repro.probability.regimes import (
     DEFAULT_POLICY,
     REGIME_ASYMPTOTIC,
-    REGIME_CERTIFIED,
     REGIME_EXACT,
     RegimePolicy,
     irwin_hall_cdf_regime,
@@ -238,29 +238,57 @@ class TestRegimeDispatch:
         assert result.value == float(result.exact)
         assert result.error_bound <= 1e-15
 
-    def test_medium_m_is_certified(self):
-        # A non-central t: central points at this m lose too many
-        # digits to cancellation to certify and degrade to exact.
-        m = DEFAULT_POLICY.exact_max_m + 10
-        result = irwin_hall_cdf_regime(Fraction(m, 4), m)
-        assert result.regime == REGIME_CERTIFIED
-        exact = float(irwin_hall_cdf(Fraction(m, 4), m))
-        assert abs(result.value - exact) <= result.error_bound
+    def test_orders_up_to_the_ceiling_are_exact(self):
+        rng = random.Random(24)
+        assert DEFAULT_POLICY.exact_ceiling == 160
+        for m in (25, rng.randint(26, 159), 160):
+            points = [
+                Fraction(rng.randint(1, 97 * m - 1), 97),
+                Fraction(rng.uniform(0.2 * m, 0.8 * m)),
+                Fraction(m, 4),
+            ]
+            for t in points:
+                result = irwin_hall_cdf_regime(t, m)
+                assert result.regime == REGIME_EXACT, (m, t)
+                assert result.exact == irwin_hall_cdf(t, m)
+                assert result.value == float(irwin_hall_cdf(t, m)), (m, t)
+
+    def test_ceiling_is_the_larger_order_field(self):
+        # Either order field alone sets the exact tier's reach, in the
+        # dispatcher and in the binomial mixture's factor loop alike.
+        only_exact = RegimePolicy(exact_max_m=160, certified_max_m=0)
+        only_certified = RegimePolicy(exact_max_m=0, certified_max_m=160)
+        assert only_exact.exact_ceiling == only_certified.exact_ceiling == 160
+        assert FORCE_ASYMPTOTIC.exact_ceiling == 0
+        for policy in (only_exact, only_certified):
+            assert irwin_hall_cdf_regime(40, 100, policy).regime == REGIME_EXACT
+            assert (
+                irwin_hall_cdf_regime(40, 161, policy).regime
+                == REGIME_ASYMPTOTIC
+            )
+            assert symmetric_threshold_winning_regime(
+                Fraction(1, 2), 300, 110, policy
+            ) == symmetric_threshold_winning_regime(Fraction(1, 2), 300, 110)
 
     def test_medium_m_uncertifiable_degrades_to_exact(self):
-        # Central t at m ~ 34: the float certificate fails, and the
-        # dispatcher transparently answers from the exact tier.
+        # Central t at m ~ 34, where a float series would lose every
+        # digit to cancellation: the exact tier answers.
         m = DEFAULT_POLICY.exact_max_m + 10
         result = irwin_hall_cdf_regime(Fraction(m, 2), m)
         assert result.regime == REGIME_EXACT
         assert result.exact == irwin_hall_cdf(Fraction(m, 2), m)
 
     def test_large_m_is_asymptotic(self):
-        m = DEFAULT_POLICY.certified_max_m + 1
+        m = DEFAULT_POLICY.exact_ceiling + 1
         result = irwin_hall_cdf_regime(Fraction(m, 2), m)
         assert result.regime == REGIME_ASYMPTOTIC
         assert result.method == DEFAULT_POLICY.method
         assert result.exact is None
+        # The answer is the asymptotic tier's own, bit for bit.
+        for t in (Fraction(m, 2), Fraction(m, 5), Fraction(1, 3)):
+            assert irwin_hall_cdf_regime(t, m) == irwin_hall_cdf_asymptotic(
+                float(t), m, method=DEFAULT_POLICY.method
+            )
 
     def test_m_zero_empty_sum(self):
         assert irwin_hall_cdf_regime(Fraction(1), 0).value == 1.0
@@ -270,12 +298,15 @@ class TestRegimeDispatch:
         with use_instrumentation() as instr:
             irwin_hall_cdf_regime(Fraction(1, 2), 2)
             irwin_hall_cdf_regime(Fraction(15), 60)
+            irwin_hall_cdf_regime(Fraction(80), 160)
+            irwin_hall_cdf_regime(Fraction(80), 161)
             irwin_hall_cdf_regime(Fraction(500), 1000)
+            irwin_hall_cdf_regime(Fraction(1), 4, FORCE_ASYMPTOTIC)
             counters = instr.metrics.snapshot().counters
-        assert counters["asymptotics.dispatch.calls"] == 3
-        assert counters["asymptotics.dispatch.exact"] == 1
-        assert counters["asymptotics.dispatch.certified"] == 1
-        assert counters["asymptotics.dispatch.asymptotic"] == 1
+        assert counters["asymptotics.dispatch.calls"] == 6
+        assert counters["asymptotics.dispatch.exact"] == 3
+        assert counters["asymptotics.dispatch.asymptotic"] == 3
+        assert not any("certified" in name for name in counters)
 
     def test_forced_asymptotic_stays_within_bound(self):
         for m in (4, 8, 16):

@@ -5,15 +5,11 @@ from fractions import Fraction
 import pytest
 
 from repro.probability.uniform_sums import (
-    IrwinHallFastContext,
-    SumUniformFastContext,
     irwin_hall_cdf,
-    irwin_hall_cdf_fast,
     irwin_hall_pdf,
     joint_sum_below_and_inside_high,
     joint_sum_below_and_inside_low,
     sum_uniform_cdf,
-    sum_uniform_cdf_fast,
     sum_uniform_pdf,
     sum_uniform_tail_cdf,
 )
@@ -261,180 +257,3 @@ class TestJointProbabilities:
             t, [a]
         ) + joint_sum_below_and_inside_high(t, [a])
         assert lhs == rhs
-
-
-class TestHoistedFastContexts:
-    """The grid-loop contexts must be bit-identical to the per-call
-    fast paths -- the hoisting may only ever move work, not change a
-    single returned bit."""
-
-    def test_sum_uniform_context_bit_identical(self):
-        uppers = [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), 1]
-        ctx = SumUniformFastContext(uppers)
-        for numerator in range(0, 52):
-            t = Fraction(numerator, 20)
-            hoisted = ctx.cdf(t)
-            fresh = sum_uniform_cdf_fast(t, uppers)
-            assert hoisted == fresh, t
-        assert ctx.m == 4
-
-    def test_irwin_hall_context_bit_identical(self):
-        for m in (1, 3, 7, 20):
-            ctx = IrwinHallFastContext(m)
-            for numerator in range(0, 4 * m + 1):
-                t = Fraction(numerator, 4)
-                hoisted = ctx.cdf(t)
-                fresh = irwin_hall_cdf_fast(t, m)
-                assert hoisted == fresh, (m, t)
-            assert ctx.m == m
-
-    def test_context_reuse_is_stable(self):
-        # Evaluating the same point twice through one context returns
-        # the same bits (no state leaks between calls).
-        ctx = SumUniformFastContext([1, 1, 1])
-        assert ctx.cdf(Fraction(3, 2)) == ctx.cdf(Fraction(3, 2))
-
-    def test_context_matches_exact_kernel(self):
-        ctx = IrwinHallFastContext(6)
-        for numerator in range(1, 24):
-            t = Fraction(numerator, 4)
-            assert ctx.cdf(t) == pytest.approx(
-                float(irwin_hall_cdf(t, 6)), abs=1e-12
-            )
-
-    def test_context_boundary_conventions(self):
-        ctx = SumUniformFastContext([Fraction(1, 2), Fraction(1, 2)])
-        assert ctx.cdf(0) == 0.0
-        assert ctx.cdf(1) == 1.0
-        assert ctx.cdf(2) == 1.0
-        empty = SumUniformFastContext([])
-        assert empty.cdf(0) == 1.0
-        assert empty.cdf(-1) == 0.0
-
-    def test_zero_width_entries_dropped(self):
-        with_zero = SumUniformFastContext([0, 1, 0, Fraction(1, 2)])
-        without = SumUniformFastContext([1, Fraction(1, 2)])
-        for numerator in range(0, 7):
-            t = Fraction(numerator, 4)
-            assert with_zero.cdf(t) == without.cdf(t)
-
-
-class TestFloatRangeOverflowFallback:
-    """Regression: inputs past float range must honour the fallback
-    policy instead of leaking OverflowError (the exact normaliser
-    ``m! * prod(widths)`` overflows ``float(Fraction)`` long before the
-    probability itself is extreme)."""
-
-    HUGE = [Fraction(10) ** 120] * 3  # normaliser ~ 10^360: unfloatable
-
-    def test_fallback_exact_returns_exact_value(self):
-        ctx = SumUniformFastContext(self.HUGE)
-        t = Fraction(10) ** 120  # interior: span/3
-        assert ctx.cdf(t) == float(sum_uniform_cdf(t, self.HUGE))
-
-    def test_fallback_counted_in_metrics(self):
-        from repro.observability import use_instrumentation
-
-        ctx = SumUniformFastContext(self.HUGE)
-        with use_instrumentation() as instr:
-            ctx.cdf(Fraction(10) ** 120)
-            counters = instr.metrics.snapshot().counters
-        assert counters["fastpath.fallbacks"] == 1
-        assert counters["fastpath.fallbacks.sum_uniform_cdf"] == 1
-
-    def test_fallback_raise_raises_instability_not_overflow(self):
-        from repro.errors import NumericalInstabilityError
-
-        ctx = SumUniformFastContext(self.HUGE)
-        with pytest.raises(NumericalInstabilityError):
-            ctx.cdf(Fraction(10) ** 120, fallback="raise")
-
-    def test_wrapper_path_also_guarded(self):
-        t = Fraction(10) ** 120
-        assert sum_uniform_cdf_fast(t, self.HUGE) == float(
-            sum_uniform_cdf(t, self.HUGE)
-        )
-
-    def test_huge_t_on_normal_widths(self):
-        # Interior t that itself overflows float() cannot happen (t is
-        # clamped by the span short-circuits), but a huge-width context
-        # with a modest t exercises the float-unready branch too.
-        ctx = SumUniformFastContext([Fraction(10) ** 200, Fraction(1, 2)])
-        t = Fraction(10) ** 199
-        assert ctx.cdf(t) == float(sum_uniform_cdf(t, ctx._pi))
-
-    def test_tiny_widths_underflow_to_zero_normaliser(self):
-        # float(normaliser) underflows to 0.0 rather than raising; the
-        # context must treat that as float-unready, not divide by zero.
-        tiny = [Fraction(1, 10 ** 120)] * 3
-        ctx = SumUniformFastContext(tiny)
-        t = Fraction(1, 10 ** 120)
-        assert ctx.cdf(t) == float(sum_uniform_cdf(t, tiny))
-
-    def test_certified_alternating_sum_overflow_guard(self):
-        from repro.validation.fastpath import certified_alternating_sum
-
-        # 1e200 ** 3 overflows: float ** int raises OverflowError in
-        # CPython instead of returning inf.
-        guarded = certified_alternating_sum(
-            [(1, 1e200, 0.0), (-1, 5e199, 0.0)], 3, 1.0
-        )
-        assert not guarded.certified
-        assert guarded.error_bound == float("inf")
-
-
-class TestLargeMSweep:
-    """The certified fast path against the asymptotic tier at orders
-    far beyond the exact kernel's reach."""
-
-    @pytest.mark.parametrize("m", [100, 1000, 10000])
-    def test_certified_tail_agrees_with_asymptotic(self, m):
-        from repro.errors import NumericalInstabilityError
-        from repro.probability.asymptotics import irwin_hall_cdf_asymptotic
-
-        ctx = IrwinHallFastContext(m)
-        # Left-tail points: few series terms, so certification holds;
-        # the enclosures of the two independent tiers must intersect.
-        for t in (Fraction(m, 8), Fraction(m, 5), Fraction(m, 4)):
-            try:
-                fast = ctx.cdf(t, fallback="raise")
-            except NumericalInstabilityError:
-                continue  # legitimately uncertifiable at this (t, m)
-            approx = irwin_hall_cdf_asymptotic(float(t), m)
-            lo, hi = approx.bracket
-            assert lo - 1e-12 <= fast <= hi + 1e-12, (m, t)
-
-    @pytest.mark.parametrize("m", [100, 1000, 10000])
-    def test_central_points_uncertifiable_at_large_m(self, m):
-        from repro.errors import NumericalInstabilityError
-
-        # Central t loses every digit to cancellation: the guarded path
-        # must refuse to certify (and raise under fallback="raise"),
-        # never return garbage.
-        ctx = IrwinHallFastContext(m)
-        with pytest.raises(NumericalInstabilityError):
-            ctx.cdf(Fraction(m, 2), fallback="raise")
-
-    def test_hoisted_bit_identity_at_truncation_boundaries(self):
-        # The series truncates at i < t: near-integer t flips terms in
-        # and out.  The hoisted context must agree bit-for-bit with the
-        # un-hoisted path on both sides of every boundary.
-        m = 50
-        eps = Fraction(1, 10 ** 12)
-        ctx = IrwinHallFastContext(m)
-        for i in (1, 2, 10, 25, 49):
-            for t in (i - eps, Fraction(i), i + eps):
-                assert ctx.cdf(t) == irwin_hall_cdf_fast(t, m), (m, t)
-
-    def test_sweep_certified_values_monotone(self):
-        from repro.errors import NumericalInstabilityError
-
-        ctx = IrwinHallFastContext(1000)
-        values = []
-        for numerator in range(100, 260, 20):
-            try:
-                values.append(ctx.cdf(Fraction(numerator), fallback="raise"))
-            except NumericalInstabilityError:
-                pass
-        assert len(values) >= 3
-        assert values == sorted(values)

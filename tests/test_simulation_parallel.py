@@ -7,6 +7,7 @@ the shard plan and the per-shard seed streams depend only on
 ``(trials, shards, stream, root seed)`` -- never on scheduling.
 """
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,33 @@ class TestBitIdenticalAcrossWorkerCounts:
             scalar_system(2), 500, SeedSequenceFactory(42), shards=4, workers=2
         )
         assert a.summary == b.summary
+
+
+class TestPoolTeardown:
+    def test_clean_finish_joins_the_executor_manager_thread(self):
+        # A pool run that finishes cleanly waits for its executor to
+        # shut down, so no manager thread is left closing its wakeup
+        # pipe while the interpreter exits.
+        from concurrent.futures.process import _ExecutorManagerThread
+
+        def managers():
+            return {
+                thread
+                for thread in threading.enumerate()
+                if isinstance(thread, _ExecutorManagerThread)
+                and thread.is_alive()
+            }
+
+        before = managers()
+        for seed in range(3):
+            estimate_winning_probability_sharded(
+                vector_system(),
+                4_000,
+                SeedSequenceFactory(seed),
+                shards=4,
+                workers=2,
+            )
+            assert managers() <= before, seed
 
 
 class TestShardEdgeCases:
