@@ -23,17 +23,25 @@ where each factor is an Irwin-Hall CDF after rescaling:
 * oblivious ``alpha``: outputs are independent of the inputs, so both
   factors are plain ``IH(delta, .)``.
 
-Each factor is answered by the regime dispatcher
-(:func:`repro.probability.regimes.irwin_hall_cdf_regime`): exact up
-to the policy's ceiling (order 160 by default), the Berry-Esseen /
-Edgeworth tier for the (dominant) large orders.  Per-factor bounds
-``e0, e1`` combine into a per-term bound
-``e0 + e1 + e0 e1`` (from ``|v0 v1 - F0 F1|`` with both factors in
-``[0, 1]``), and the binomial tail outside the evaluated window --
-chosen by a Bernstein-inequality radius so its total mass is below
-``policy.tail_tol`` -- is charged to the bound verbatim.  The window
-has ``O(sqrt(n log(1/tail_tol)))`` terms and each term is ``O(1)`` in
-the asymptotic regime, so ``n = 10**6`` evaluates in milliseconds.
+Each window is evaluated as arrays: the counts ``k`` and both bins'
+factor points and orders, then every factor of order above the
+policy's exact ceiling (160 by default) in one pass of the Edgeworth /
+Hoeffding assembly
+(:func:`repro.probability.asymptotics.irwin_hall_asymptotic_lanes`),
+and every distinct smaller-order point once through the regime
+dispatcher (:func:`repro.probability.regimes.irwin_hall_cdf_regime`).
+Those exact factors bypass the cache: their points are floats with
+``2^52`` denominators that no later query repeats, so the mixture
+persists nothing.  Each lane performs the scalar formula's IEEE
+operations in the same order, and value and bound are summed in the
+order of the scalar two-sided walk, so every answer is bit-identical to
+summing term by term.  Per-factor bounds ``e0, e1`` combine into a
+per-term bound ``e0 + e1 + e0 e1`` (from ``|v0 v1 - F0 F1|`` with both
+factors in ``[0, 1]``), and the binomial tail outside the evaluated
+window -- chosen by a Bernstein-inequality radius so its total mass is
+below ``policy.tail_tol`` -- is charged to the bound verbatim.  The
+window has ``O(sqrt(n log(1/tail_tol)))`` terms, so ``n = 10**6``
+evaluates in about 7 ms (2-vCPU guest).
 """
 
 from __future__ import annotations
@@ -42,8 +50,11 @@ import math
 from fractions import Fraction
 from typing import Callable, Tuple
 
+import numpy as np
+
+from repro.cache import bypass_cache
 from repro.errors import ValidationError
-from repro.probability.asymptotics import irwin_hall_asymptotic_value_bound
+from repro.probability.asymptotics import irwin_hall_asymptotic_lanes
 from repro.probability.regimes import (
     DEFAULT_POLICY,
     RegimePolicy,
@@ -85,101 +96,127 @@ def binomial_window(
     return (lo, hi)
 
 
-def _ih_factor(
-    t: float, m: int, policy: RegimePolicy
-) -> Tuple[float, float]:
-    """``(value, error_bound)`` of ``IH(t, m)`` via the cheapest tier.
+def _ih_factors(
+    t: np.ndarray, m: np.ndarray, policy: RegimePolicy
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(values, error_bounds)`` of ``IH(t[i], m[i])`` for every lane.
 
-    Hot path of the mixture loop: the dominant large-``m`` case stays
-    in pure float arithmetic (no Fraction conversion) by calling the
-    asymptotic tier directly; small orders route through the full
-    regime dispatcher.
+    Lanes outside the open support (``t <= 0``, ``t >= m``, ``m = 0``)
+    are exact 0 or 1 and are never evaluated, so an infinite ``t``
+    reaches no arithmetic.  Orders above ``policy.exact_ceiling`` go
+    through the asymptotic tier in one array pass.  Smaller orders go
+    through the regime dispatcher, once per distinct ``(t, m)``, with
+    the cache bypassed: their points are one-off floats (``2^52``
+    denominators) that no later query asks for again, so storing them
+    would only cost a disk write each.  The orders *m* are floats,
+    exact up to ``2**53``; only the single count of a degenerate window
+    can exceed that, and its factor is asymptotic, which reads a float
+    order anyway.
     """
-    if m == 0:
-        return (1.0, 0.0) if t >= 0.0 else (0.0, 0.0)
-    if t <= 0.0:
-        return (0.0, 0.0)
-    if t >= m:
-        return (1.0, 0.0)
-    if m > policy.exact_ceiling:
-        return irwin_hall_asymptotic_value_bound(t, m, policy.method)
-    result = irwin_hall_cdf_regime(t, m, policy)
-    return (result.value, result.error_bound)
+    # Outside the support: 1 where t >= m (the empty sum included).
+    value = np.where(t >= m, 1.0, 0.0)
+    bound = np.zeros(m.shape)
+    inside = (t > 0.0) & (t < m)
+    lanes = inside & (m > policy.exact_ceiling)
+    if lanes.any():
+        value[lanes], bound[lanes] = irwin_hall_asymptotic_lanes(
+            t[lanes], m[lanes], policy.method
+        )
+    lanes = inside & (m <= policy.exact_ceiling)
+    if lanes.any():
+        points = list(zip(t[lanes].tolist(), m[lanes].astype(int).tolist()))
+        with bypass_cache():
+            answers = {
+                point: irwin_hall_cdf_regime(*point, policy)
+                for point in dict.fromkeys(points)
+            }
+        value[lanes] = [answers[point].value for point in points]
+        bound[lanes] = [answers[point].error_bound for point in points]
+    return value, bound
+
+
+def _pmf_window(
+    n: int, p_one: float, lo: int, hi: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(k, pmf(k; n, p_one))`` over ``[lo, hi]`` in summation order:
+    down from the mode to *lo*, then up to *hi*; ``k`` as floats.
+
+    The pmf is generated by the two-sided recurrence from the mode (one
+    lgamma triple total, no per-term special functions).  Each step
+    depends on the previous one, so it stays a scalar loop; the values
+    decay monotonically on each side, so no overflow is possible.
+    """
+    q = 1.0 - p_one
+    mode = min(hi, max(lo, int((n + 1) * p_one)))
+    log_pmf = (
+        math.lgamma(n + 1)
+        - math.lgamma(mode + 1)
+        - math.lgamma(n - mode + 1)
+        + mode * math.log(p_one)
+        + (n - mode) * math.log(q)
+    )
+    pmf_mode = math.exp(log_pmf)
+    ratio_up = p_one / q
+    pmfs = [pmf_mode]
+    pmf = pmf_mode
+    for k in range(mode, lo, -1):
+        pmf = pmf * k / ((n - k + 1) * ratio_up)
+        pmfs.append(pmf)
+    pmf = pmf_mode
+    for k in range(mode, hi):
+        pmf = pmf * ratio_up * (n - k) / (k + 1)
+        pmfs.append(pmf)
+    ks = np.concatenate((
+        np.arange(mode, lo - 1, -1, dtype=np.float64),
+        np.arange(mode + 1, hi + 1, dtype=np.float64),
+    ))
+    return ks, np.array(pmfs)
 
 
 def _binomial_mixture(
     n: int,
     p_one: float,
-    f_zero: Callable[[int], Tuple[float, float]],
-    f_one: Callable[[int], Tuple[float, float]],
+    points: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     policy: RegimePolicy,
 ) -> Enclosure:
-    """``sum_k pmf(k; n, p_one) f_zero(n - k) f_one(k)`` with bound.
+    """``sum_k pmf(k; n, p_one) IH(t0, n - k) IH(t1, k)`` with bound.
 
-    The window is Bernstein-sized for ``policy.tail_tol``; the pmf is
-    generated by the two-sided recurrence from the mode (one lgamma
-    triple total, no per-term special functions).
+    ``points(k)`` gives the factor points ``(t0, t1)`` of both bins for
+    the array of counts ``k``.  The window is Bernstein-sized for
+    ``policy.tail_tol``, and the factors of both bins are evaluated in
+    one :func:`_ih_factors` pass, so a point the two bins share is
+    evaluated once.  Value and bound are summed sequentially in the
+    order of :func:`_pmf_window`.
     """
     lo, hi = binomial_window(n, p_one, policy.tail_tol)
-    q = 1.0 - p_one
     if p_one <= 0.0 or p_one >= 1.0:
-        k = hi  # == lo: the certain count
-        v0, e0 = f_zero(n - k)
-        v1, e1 = f_one(k)
-        value = v0 * v1
-        bound = e0 + e1 + e0 * e1 + 4.0 * EPS
-        terms = 1
+        ks, pmf = np.array([float(hi)]), np.ones(1)  # hi == lo: certain
+        slack = 4.0 * EPS
     else:
-        mode = min(hi, max(lo, int((n + 1) * p_one)))
-        log_pmf = (
-            math.lgamma(n + 1)
-            - math.lgamma(mode + 1)
-            - math.lgamma(n - mode + 1)
-            + mode * math.log(p_one)
-            + (n - mode) * math.log(q)
-        )
-        pmf_mode = math.exp(log_pmf)
-        ratio_up = p_one / q
-        value = 0.0
-        bound = 0.0
-        terms = 0
-        # Walk down then up from the mode; pmf values decay
-        # monotonically on each side, so no overflow is possible.
-        for direction in (-1, +1):
-            pmf = pmf_mode
-            k = mode
-            if direction == +1:
-                if mode == hi:
-                    continue
-                pmf = pmf * ratio_up * (n - mode) / (mode + 1)
-                k = mode + 1
-            while lo <= k <= hi:
-                v0, e0 = f_zero(n - k)
-                v1, e1 = f_one(k)
-                value += pmf * (v0 * v1)
-                bound += pmf * (e0 + e1 + e0 * e1)
-                terms += 1
-                if direction == -1:
-                    if k == lo:
-                        break
-                    pmf = pmf * k / ((n - k + 1) * ratio_up)
-                    k -= 1
-                else:
-                    if k == hi:
-                        break
-                    pmf = pmf * ratio_up * (n - k) / (k + 1)
-                    k += 1
+        ks, pmf = _pmf_window(n, p_one, lo, hi)
         # Truncated tail mass plus float noise from the pmf recurrence
         # and the accumulation (~eps per term, conservatively scaled).
-        bound += policy.tail_tol + 8.0 * EPS * terms
+        slack = policy.tail_tol + 8.0 * EPS * ks.size
+    # Products of tiny factors underflow to subnormals or zero, as they
+    # do in scalar float arithmetic; that is the intended limit.
+    with np.errstate(under="ignore"):
+        t0, t1 = points(ks)
+        value, bound = _ih_factors(
+            np.concatenate((t0, t1)), np.concatenate((n - ks, ks)), policy
+        )
+        v0, v1 = np.split(value, 2)
+        e0, e1 = np.split(bound, 2)
+        # np.cumsum adds left to right, in summation order.
+        total = float(np.cumsum(pmf * (v0 * v1))[-1])
+        total_bound = float(np.cumsum(pmf * (e0 + e1 + e0 * e1))[-1]) + slack
     from repro.observability import get_instrumentation
 
     instr = get_instrumentation()
     if instr.enabled:
         instr.increment("asymptotics.calls")
-        instr.increment("asymptotics.terms", terms)
+        instr.increment("asymptotics.terms", ks.size)
     return Enclosure(
-        min(1.0, max(0.0, value)), bound, TIER_ASYMPTOTIC, policy.method
+        min(1.0, max(0.0, total)), total_bound, TIER_ASYMPTOTIC, policy.method
     )
 
 
@@ -228,22 +265,26 @@ def symmetric_threshold_winning_regime(
     if beta_f <= 0.0 or beta_f >= 1.0:
         # All inputs land in one bin; its load is a plain sum of n
         # iid U[0, 1] regardless of which bin that is.
-        value, bound = _ih_factor(delta_f, n, policy)
-        return Enclosure(value, bound, TIER_ASYMPTOTIC, policy.method)
+        value, bound = _ih_factors(
+            np.array([delta_f]), np.array([float(n)]), policy
+        )
+        return Enclosure(
+            float(value[0]), float(bound[0]), TIER_ASYMPTOTIC, policy.method
+        )
 
     inv_beta = 1.0 / beta_f
     inv_rest = 1.0 / (1.0 - beta_f)
 
-    def f_zero(m: int) -> Tuple[float, float]:
-        # (n - k) inputs conditioned on x <= beta: iid U[0, beta].
-        return _ih_factor(delta_f * inv_beta, m, policy)
-
-    def f_one(k: int) -> Tuple[float, float]:
-        # k inputs conditioned on x > beta: iid U[beta, 1], so the
+    def points(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # (n - k) inputs conditioned on x <= beta are iid U[0, beta];
+        # k inputs conditioned on x > beta are iid U[beta, 1], so that
         # load is k*beta + (1 - beta) * IrwinHall(k).
-        return _ih_factor((delta_f - k * beta_f) * inv_rest, k, policy)
+        return (
+            np.full(k.shape, delta_f * inv_beta),
+            (delta_f - k * beta_f) * inv_rest,
+        )
 
-    return _binomial_mixture(n, 1.0 - beta_f, f_zero, f_one, policy)
+    return _binomial_mixture(n, 1.0 - beta_f, points, policy)
 
 
 def symmetric_oblivious_winning_regime(
@@ -280,9 +321,10 @@ def symmetric_oblivious_winning_regime(
     # down to 0: the winning probability is monotone in delta.
     delta_f = max(float(d), math.ulp(0.0))
 
-    def factor(m: int) -> Tuple[float, float]:
+    def points(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # Outputs are independent of inputs: each bin's load is a sum
         # of plain U[0, 1] inputs.
-        return _ih_factor(delta_f, m, policy)
+        t = np.full(k.shape, delta_f)
+        return t, t
 
-    return _binomial_mixture(n, 1.0 - float(a), factor, factor, policy)
+    return _binomial_mixture(n, 1.0 - float(a), points, policy)

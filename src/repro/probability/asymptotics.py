@@ -50,7 +50,11 @@ whenever ``eps`` is a valid uniform CDF-error bound, so the returned
 ``(lower, upper)`` interval *provably* contains the true quantile.
 
 Everything here is plain ``float`` arithmetic on a handful of terms --
-``O(1)`` per query -- and depends only on the standard library.
+``O(1)`` per query.  The estimate/bound assembly is written once, over
+numpy arrays, so the binomial-mixture engine evaluates a whole window
+of factors in one pass; the scalar entry points call it with one lane.
+Each lane is bit-identical to the scalar IEEE formula: ``exp`` and
+``erfc`` are the :mod:`math` functions applied lane by lane.
 """
 
 from __future__ import annotations
@@ -58,7 +62,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ValidationError
 from repro.validation.fastpath import TIER_ASYMPTOTIC, Enclosure
@@ -68,6 +74,7 @@ __all__ = [
     "AsymptoticQuantile",
     "BERRY_ESSEEN_CONSTANT",
     "UNIFORM_BE_RATIO",
+    "irwin_hall_asymptotic_lanes",
     "irwin_hall_asymptotic_value_bound",
     "irwin_hall_cdf_asymptotic",
     "irwin_hall_quantile_asymptotic",
@@ -129,62 +136,99 @@ def _check_method(method: str) -> None:
         )
 
 
-def _raw_assemble(
-    t: float,
-    mean: float,
-    sigma: float,
-    be_bound: float,
-    lambda4: float,
-    sq_width_sum: float,
-    method: str,
-) -> Tuple[float, float]:
-    """Shared estimate/bound assembly for the iid and non-iid cases.
+def _lanes(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """*fn* of the :mod:`math` module applied lane by lane to a 1-D array.
 
-    Returns ``(value, error_bound)`` as a bare tuple -- the hot path
-    of the binomial-mixture engine calls this thousands of times per
-    query, so no dataclass is allocated here.
+    numpy's own ``exp`` is not rounded like ``math.exp`` (they differ
+    by an ulp on a few percent of arguments) and numpy has no ``erfc``,
+    so the array form calls the scalar functions to stay bit-identical
+    to them.
     """
-    z = (t - mean) / sigma
-    value = 0.5 * math.erfc(-z / _SQRT2)
-    bound = be_bound
-    if method == "edgeworth":
-        phi_z = _INV_SQRT_2PI * math.exp(-0.5 * min(z * z, 1500.0))
-        correction = -phi_z * (lambda4 / 24.0) * (z * z * z - 3.0 * z)
-        value += correction
-        # The Edgeworth *estimate* is sharper but its cheap rigorous
-        # bound is not: |F - (Phi + corr)| <= |F - Phi| + |corr|.
-        bound += abs(correction)
-    if value < 0.0:
-        value = 0.0
-    elif value > 1.0:
-        value = 1.0
-    # Tail sharpening: Hoeffding pins F into [0, tail] (left tail) or
-    # [1 - tail, 1] (right tail), so the distance from any estimate in
-    # [0, 1] to the true CDF is at most max(tail, distance to the
-    # pinned endpoint).  Strictly inside the support the true CDF is
-    # neither 0 nor 1, so the tail term is floored at the smallest
-    # subnormal instead of underflowing to an enclosure of zero width.
-    s = t - mean
-    hoeff = max(math.exp(-2.0 * (s * s / sq_width_sum)), _TINY)
-    pinned = value if s < 0.0 else 1.0 - value
-    if pinned < hoeff:
-        pinned = hoeff
-    if pinned < bound:
-        bound = pinned
+    return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
+
+
+def _assemble(
+    t: np.ndarray,
+    mean: np.ndarray,
+    sigma: np.ndarray,
+    be_bound: np.ndarray,
+    lambda4: np.ndarray,
+    sq_width_sum: np.ndarray,
+    method: str,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Estimate/bound assembly for the iid and non-iid cases, lane by lane.
+
+    Every argument is a 1-D float array of lanes strictly inside the
+    support (``0 < t < span``), or a float broadcasting against them;
+    returns the ``(value, error_bound)`` arrays.  Every operation is
+    the IEEE operation of the scalar formula in the same order, so a
+    lane is bit-identical to evaluating it alone.  Underflow to a
+    subnormal or zero is the intended limit in the far tails, as it is
+    for Python floats, so it raises nothing even under a strict
+    ``np.errstate``.
+    """
+    with np.errstate(under="ignore"):
+        z = (t - mean) / sigma
+        value = 0.5 * _lanes(math.erfc, -z / _SQRT2)
+        bound = be_bound
+        if method == "edgeworth":
+            phi_z = _INV_SQRT_2PI * _lanes(
+                math.exp, -0.5 * np.minimum(z * z, 1500.0)
+            )
+            correction = -phi_z * (lambda4 / 24.0) * (z * z * z - 3.0 * z)
+            value = value + correction
+            # The Edgeworth *estimate* is sharper but its cheap rigorous
+            # bound is not: |F - (Phi + corr)| <= |F - Phi| + |corr|.
+            bound = bound + np.abs(correction)
+        value = np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value))
+        # Tail sharpening: Hoeffding pins F into [0, tail] (left tail) or
+        # [1 - tail, 1] (right tail), so the distance from any estimate
+        # in [0, 1] to the true CDF is at most max(tail, distance to the
+        # pinned endpoint).  Strictly inside the support the true CDF is
+        # neither 0 nor 1, so the tail term is floored at the smallest
+        # subnormal instead of underflowing to an enclosure of zero width.
+        s = t - mean
+        hoeff = np.maximum(
+            _lanes(math.exp, -2.0 * (s * s / sq_width_sum)), _TINY
+        )
+        pinned = np.where(s < 0.0, value, 1.0 - value)
+        pinned = np.where(pinned < hoeff, hoeff, pinned)
+        bound = np.where(pinned < bound, pinned, bound)
     return value, bound
 
 
 _BE_IID = BERRY_ESSEEN_CONSTANT * UNIFORM_BE_RATIO
 
 
+def irwin_hall_asymptotic_lanes(
+    t: np.ndarray, m: np.ndarray, method: str = "edgeworth"
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(value, error_bound)`` arrays of the asymptotic ``IH(t, m)``.
+
+    The binomial-mixture engine's entry point: one call per window.
+    *t* and *m* are 1-D float arrays of lanes strictly inside the
+    support (``0 < t < m``); the support short-circuits and the choice
+    of *method* are the caller's.
+    """
+    # kappa4 = -m/120; lambda4 = kappa4 / sigma^4 = -6/(5m).
+    return _assemble(
+        t,
+        0.5 * m,
+        np.sqrt(m / 12.0),
+        _BE_IID / np.sqrt(m),
+        -1.2 / m,
+        m,
+        method,
+    )
+
+
 def irwin_hall_asymptotic_value_bound(
     t: float, m: int, method: str = "edgeworth"
 ) -> Tuple[float, float]:
-    """Allocation-free ``(value, error_bound)`` variant of
+    """Bare ``(value, error_bound)`` variant of
     :func:`irwin_hall_cdf_asymptotic`.
 
-    The hot-path entry point for the binomial-mixture engine: same
-    numbers, no :class:`~repro.validation.fastpath.Enclosure`, no
+    Same numbers, no :class:`~repro.validation.fastpath.Enclosure`, no
     argument validation beyond the support short-circuits (``m >= 1``
     and a recognised *method* are the caller's responsibility).
     """
@@ -192,16 +236,10 @@ def irwin_hall_asymptotic_value_bound(
         return 0.0, 0.0
     if t >= m:
         return 1.0, 0.0
-    # kappa4 = -m/120; lambda4 = kappa4 / sigma^4 = -6/(5m).
-    return _raw_assemble(
-        t,
-        0.5 * m,
-        math.sqrt(m / 12.0),
-        _BE_IID / math.sqrt(m),
-        -1.2 / m,
-        float(m),
-        method,
+    value, bound = irwin_hall_asymptotic_lanes(
+        np.array([t]), np.array([float(m)]), method
     )
+    return float(value[0]), float(bound[0])
 
 
 def _float_point(t: float) -> float:
@@ -274,8 +312,12 @@ def sum_uniform_cdf_asymptotic(
     # kappa4_i = -u_i^4/120.
     kappa4 = -math.fsum(u * u * u * u for u in widths) / 120.0
     lambda4 = kappa4 / (variance * variance)
-    value, bound = _raw_assemble(t, mean, sigma, be, lambda4, sq, method)
-    return Enclosure(value, bound, TIER_ASYMPTOTIC, method)
+    value, bound = _assemble(
+        np.array([t]), mean, sigma, be, lambda4, sq, method
+    )
+    return Enclosure(
+        float(value[0]), float(bound[0]), TIER_ASYMPTOTIC, method
+    )
 
 
 def irwin_hall_quantile_asymptotic(

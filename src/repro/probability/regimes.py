@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from repro.errors import ValidationError
 from repro.probability.asymptotics import (
@@ -80,11 +79,9 @@ class RegimePolicy:
                 f"tail_tol must be positive, got {self.tail_tol}"
             )
 
-    @cached_property
+    @property
     def exact_ceiling(self) -> int:
-        """The largest Irwin-Hall order the exact tier answers.
-
-        Cached: the binomial mixture reads it once per factor."""
+        """The largest Irwin-Hall order the exact tier answers."""
         return max(self.exact_max_m, self.certified_max_m)
 
 
