@@ -1,5 +1,4 @@
-"""Extension machinery benchmarks: input distributions and the
-symbolic Theorem 4.1 object.
+"""Extension machinery benchmarks: non-uniform input distributions.
 
 These are not paper artifacts; they benchmark the parts of the library
 a downstream user leans on when scaling beyond the paper's instances,
@@ -49,16 +48,3 @@ def test_bench_beta_input_sensitivity(benchmark, label, a, b):
     if label == "peaked":
         assert summary.estimate < EXACT
 
-
-def test_bench_symbolic_theorem_4_1(benchmark):
-    """Construct the multilinear Theorem 4.1 polynomial for n = 10 and
-    verify the fair coin zeroes its gradient."""
-    from repro.core.symbolic_oblivious import (
-        oblivious_winning_polynomial,
-    )
-
-    poly = benchmark(lambda: oblivious_winning_polynomial(1, 10))
-    assert poly.is_multilinear()
-    half = [Fraction(1, 2)] * 10
-    for k in range(10):
-        assert poly.partial(k)(half) == 0

@@ -15,20 +15,92 @@ Run:  python examples/communication_patterns.py
 """
 
 from fractions import Fraction
+from typing import Mapping, Optional
+
+import numpy as np
 
 from repro.baselines.centralized import (
     OmniscientPacker,
     centralized_winning_probability,
 )
-from repro.baselines.py1991 import WeightedAverageRule
 from repro.experiments.report import format_table
+from repro.model.agents import DecisionAlgorithm
 from repro.model.algorithms import SingleThresholdRule
 from repro.model.communication import FullInformation, GraphPattern
 from repro.model.system import DistributedSystem
 from repro.optimize.threshold_opt import optimal_symmetric_threshold
 from repro.simulation.engine import MonteCarloEngine
+from repro.symbolic.rational import RationalLike, as_fraction
 
 TRIALS = 150_000
+
+
+class WeightedAverageRule(DecisionAlgorithm):
+    """Choose bin 0 iff a weighted average of the seen inputs is below a
+    threshold.
+
+    ``y = 0  iff  (w_own * x_own + sum_j w_j * x_j) <= threshold``
+
+    where the sum runs over the observed players.  Weights for players
+    the pattern does not reveal are ignored (their information is
+    simply unavailable), matching how [11] parameterised protocols per
+    communication pattern.  With no observations the rule reduces to
+    ``SingleThresholdRule(threshold / w_own)`` -- the test-suite pins
+    this equivalence down.
+    """
+
+    is_oblivious = False
+    is_local = False  # may read observed inputs when the pattern allows
+
+    def __init__(
+        self,
+        threshold: RationalLike,
+        own_weight: RationalLike = 1,
+        observed_weights: Optional[Mapping[int, RationalLike]] = None,
+    ):
+        self._threshold = as_fraction(threshold)
+        self._own_weight = as_fraction(own_weight)
+        if self._own_weight <= 0:
+            raise ValueError(
+                f"own weight must be positive, got {self._own_weight}"
+            )
+        self._observed_weights = {
+            int(j): as_fraction(w)
+            for j, w in (observed_weights or {}).items()
+        }
+
+    @property
+    def threshold(self) -> Fraction:
+        return self._threshold
+
+    def decide(
+        self,
+        own_input: float,
+        observed: Mapping[int, float],
+        rng: np.random.Generator,
+    ) -> int:
+        score = float(self._own_weight) * own_input
+        for j, x in observed.items():
+            weight = self._observed_weights.get(j)
+            if weight is not None:
+                score += float(weight) * x
+        return 0 if score <= float(self._threshold) else 1
+
+    def as_single_threshold(self) -> SingleThresholdRule:
+        """The no-communication degeneration of this rule.
+
+        Only valid when the effective threshold ``threshold / own_weight``
+        lies in ``[0, 1]``; raises otherwise.
+        """
+        effective = self._threshold / self._own_weight
+        return SingleThresholdRule(effective)
+
+    def __repr__(self) -> str:
+        return (
+            f"WeightedAverageRule(threshold={self._threshold}, "
+            f"own_weight={self._own_weight}, "
+            f"observed_weights={self._observed_weights})"
+        )
 
 
 def no_communication_row(engine):

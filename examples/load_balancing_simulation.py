@@ -17,7 +17,7 @@ Run:  python examples/load_balancing_simulation.py
 from fractions import Fraction
 
 from repro.baselines.centralized import centralized_winning_probability
-from repro.baselines.fair_coin import fair_coin_value
+from repro.core.oblivious import optimal_oblivious_winning_probability
 from repro.experiments.report import format_table, render_ascii_plot
 from repro.model.algorithms import SingleThresholdRule
 from repro.model.system import DistributedSystem
@@ -53,7 +53,7 @@ def threshold_sweep(n: int, capacity) -> None:
 def protocol_comparison(n: int, capacity) -> None:
     print(f"\n== Protocol comparison: {n} sources, capacity {capacity} ==")
     optimum = optimal_symmetric_threshold(n, capacity)
-    random_placement = fair_coin_value(n, capacity)
+    random_placement = optimal_oblivious_winning_probability(capacity, n)
     coordinator = centralized_winning_probability(
         n, capacity, trials=60_000, seed=2
     )

@@ -1,19 +1,16 @@
 """Baseline protocols for comparison experiments.
 
 The paper's headline comparisons are between the optimal oblivious and
-optimal non-oblivious algorithms; the baselines here extend that into a
-full comparison table:
+optimal non-oblivious algorithms (:mod:`repro.core.oblivious`,
+:mod:`repro.optimize.threshold_opt`); the baselines here bound what
+communication could add on top of them:
 
-* :mod:`repro.baselines.fair_coin` -- the optimal oblivious protocol
-  (Theorem 4.3): the uniform fair coin.
-* :mod:`repro.baselines.py1991` -- the Papadimitriou-Yannakakis [11]
-  protocols for ``n = 3``: the conjectured no-communication threshold
-  (confirmed optimal by this paper) and the weighted-average threshold
-  family they used for communicating patterns.
 * :mod:`repro.baselines.centralized` -- the full-information upper
   bound: with all inputs visible, win whenever *any* bin assignment
   avoids overflow.  No distributed no-communication protocol can beat
   it, which makes it the yardstick for the value of communication.
+* :mod:`repro.baselines.exact_centralized` -- the same bound in closed
+  form for ``n <= 3``, the exact witness of the ``repro check`` oracle.
 """
 
 from repro.baselines.centralized import (
@@ -21,20 +18,9 @@ from repro.baselines.centralized import (
     centralized_winning_probability,
     OmniscientPacker,
 )
-from repro.baselines.fair_coin import fair_coin_profile, fair_coin_system
-from repro.baselines.py1991 import (
-    py_conjectured_threshold,
-    py_threshold_system,
-    WeightedAverageRule,
-)
 
 __all__ = [
     "OmniscientPacker",
-    "WeightedAverageRule",
     "best_possible_win",
     "centralized_winning_probability",
-    "fair_coin_profile",
-    "fair_coin_system",
-    "py_conjectured_threshold",
-    "py_threshold_system",
 ]

@@ -31,7 +31,7 @@ import numpy as np
 from repro.batch.tables import compiled_threshold_curve
 from repro.observability import get_instrumentation
 from repro.symbolic.rational import RationalLike, as_fraction
-from repro.validation.fastpath import EPS
+from repro.validation.enclosure import EPS
 
 __all__ = ["AgreementReport", "agreement_grid", "run_batch_agreement"]
 

@@ -51,7 +51,7 @@ from repro.errors import PiecewiseDomainError
 from repro.observability import get_instrumentation
 from repro.symbolic.piecewise import PiecewisePolynomial
 from repro.symbolic.polynomial import Polynomial
-from repro.validation.fastpath import EPS, certifies
+from repro.validation.enclosure import EPS, certifies
 
 __all__ = ["BatchResult", "CompiledPiecewise"]
 
@@ -255,7 +255,7 @@ class CompiledPiecewise:
         fallback.
 
         Every point is either *certified* (its bound passes
-        :func:`~repro.validation.fastpath.certifies`) or recomputed by
+        :func:`~repro.validation.enclosure.certifies`) or recomputed by
         the exact ``Fraction`` kernel at ``Fraction(x)``.  Counts
         ``batch.points`` / ``batch.certified`` / ``batch.fallbacks``.
         """

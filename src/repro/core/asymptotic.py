@@ -61,7 +61,7 @@ from repro.probability.regimes import (
     irwin_hall_cdf_regime,
 )
 from repro.symbolic.rational import RationalLike, as_fraction
-from repro.validation.fastpath import EPS, TIER_ASYMPTOTIC, Enclosure
+from repro.validation.enclosure import EPS, TIER_ASYMPTOTIC, Enclosure
 
 __all__ = [
     "binomial_window",

@@ -205,7 +205,7 @@ def winning_probability(
     """Regime-dispatched winning probability: exact when affordable,
     certified-asymptotic when not.
 
-    Returns a :class:`~repro.validation.fastpath.Enclosure`.  For
+    Returns a :class:`~repro.validation.enclosure.Enclosure`.  For
     ``n <= policy.exact_max_n`` this is :func:`exact_winning_probability`
     wrapped with its (float-conversion-only) error bound and the exact
     ``Fraction`` attached.  Beyond that, the two symmetric families --
@@ -221,7 +221,7 @@ def winning_probability(
         symmetric_threshold_winning_regime,
     )
     from repro.probability.regimes import DEFAULT_POLICY
-    from repro.validation.fastpath import Enclosure
+    from repro.validation.enclosure import Enclosure
 
     if policy is None:
         policy = DEFAULT_POLICY

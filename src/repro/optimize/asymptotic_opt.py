@@ -35,7 +35,7 @@ from repro.errors import ValidationError
 from repro.core.asymptotic import symmetric_threshold_winning_regime
 from repro.probability.regimes import DEFAULT_POLICY, RegimePolicy
 from repro.symbolic.rational import RationalLike, as_fraction
-from repro.validation.fastpath import Enclosure
+from repro.validation.enclosure import Enclosure
 
 __all__ = [
     "AsymptoticOptimum",

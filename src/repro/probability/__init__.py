@@ -3,8 +3,6 @@
 Exact distribution functions for sums of independent uniform random
 variables, derived from the geometric volume formula of Proposition 2.2:
 
-* :mod:`repro.probability.inclusion_exclusion` -- generic alternating
-  subset-sum machinery with the paper's strict-condition convention.
 * :mod:`repro.probability.uniform_sums` -- Lemma 2.4 (CDF of a sum of
   uniforms on ``[0, pi_i]``), Lemma 2.5 (its density, answering Rota's
   research problem), Corollary 2.6 (Irwin-Hall), Lemma 2.7 (uniforms on
@@ -32,16 +30,6 @@ from repro.probability.regimes import (
     RegimePolicy,
     irwin_hall_cdf_regime,
 )
-from repro.probability.moments import (
-    chebyshev_overflow_bound,
-    expected_overflow_single_bin,
-    hoeffding_overflow_bound,
-    irwin_hall_moment,
-    sum_uniform_central_moment,
-    sum_uniform_moment,
-    uniform_moment,
-)
-from repro.probability.inclusion_exclusion import alternating_subset_sum
 from repro.probability.uniform_sums import (
     irwin_hall_cdf,
     joint_sum_below_and_inside_boxes,
@@ -59,18 +47,10 @@ __all__ = [
     "RegimePolicy",
     "SumOfUniforms",
     "Uniform",
-    "alternating_subset_sum",
     "irwin_hall_cdf_asymptotic",
     "irwin_hall_cdf_regime",
     "irwin_hall_quantile_asymptotic",
     "sum_uniform_cdf_asymptotic",
-    "chebyshev_overflow_bound",
-    "expected_overflow_single_bin",
-    "hoeffding_overflow_bound",
-    "irwin_hall_moment",
-    "sum_uniform_central_moment",
-    "sum_uniform_moment",
-    "uniform_moment",
     "irwin_hall_cdf",
     "joint_sum_below_and_inside_boxes",
     "irwin_hall_pdf",

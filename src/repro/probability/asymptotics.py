@@ -67,7 +67,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.validation.fastpath import TIER_ASYMPTOTIC, Enclosure
+from repro.validation.enclosure import TIER_ASYMPTOTIC, Enclosure
 
 __all__ = [
     "ASYMPTOTIC_METHODS",
@@ -228,7 +228,7 @@ def irwin_hall_asymptotic_value_bound(
     """Bare ``(value, error_bound)`` variant of
     :func:`irwin_hall_cdf_asymptotic`.
 
-    Same numbers, no :class:`~repro.validation.fastpath.Enclosure`, no
+    Same numbers, no :class:`~repro.validation.enclosure.Enclosure`, no
     argument validation beyond the support short-circuits (``m >= 1``
     and a recognised *method* are the caller's responsibility).
     """

@@ -13,7 +13,7 @@ order ``m``:
   of :mod:`repro.probability.asymptotics`, ``O(1)`` for any ``m``
   with a rigorous analytic bound.
 
-Every result is an :class:`~repro.validation.fastpath.Enclosure`
+Every result is an :class:`~repro.validation.enclosure.Enclosure`
 recording which tier answered and the guaranteed two-sided error
 bound, so downstream consumers
 (the large-``n`` winning-probability engine, the serve layer, the
@@ -35,7 +35,7 @@ from repro.probability.asymptotics import (
 )
 from repro.probability.uniform_sums import irwin_hall_cdf
 from repro.symbolic.rational import RationalLike, as_fraction
-from repro.validation.fastpath import (
+from repro.validation.enclosure import (
     TIER_ASYMPTOTIC as REGIME_ASYMPTOTIC,
     TIER_EXACT as REGIME_EXACT,
     Enclosure,
@@ -104,7 +104,7 @@ def irwin_hall_cdf_regime(
 
     Dispatch: ``m <= policy.exact_ceiling`` -> exact Fraction kernel;
     larger ``m`` -> asymptotic tier.  The returned
-    :class:`~repro.validation.fastpath.Enclosure` records the tier that
+    :class:`~repro.validation.enclosure.Enclosure` records the tier that
     produced the value and its guaranteed error bound.
     """
     if m < 0:

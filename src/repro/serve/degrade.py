@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from repro.validation.fastpath import certifies  # re-exported
+from repro.validation.enclosure import certifies  # re-exported
 
 __all__ = [
     "Deadline",

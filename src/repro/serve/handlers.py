@@ -49,7 +49,7 @@ from repro.serve.degrade import (
     certified_grid_optimum,
     exact_fallback_with_budget,
 )
-from repro.validation.fastpath import (
+from repro.validation.enclosure import (
     TIER_ASYMPTOTIC,
     TIER_CERTIFIED,
     TIER_DEGRADED,

@@ -23,7 +23,6 @@ from repro.symbolic.bernstein import (
     bernstein_range_bound,
     certify_nonnegative,
 )
-from repro.symbolic.multivariate import MultiPoly
 from repro.symbolic.piecewise import PiecewisePolynomial, Piece
 from repro.symbolic.polynomial import Polynomial
 from repro.symbolic.rational import as_fraction, binomial, factorial
@@ -36,7 +35,6 @@ from repro.symbolic.roots import (
 )
 
 __all__ = [
-    "MultiPoly",
     "Piece",
     "PiecewisePolynomial",
     "Polynomial",

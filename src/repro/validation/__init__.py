@@ -10,10 +10,10 @@ Three layers of defence against silently wrong numbers:
   per call site, mirroring the observability layer); violations are
   counted through the active :class:`~repro.observability.MetricsRegistry`
   and raise :class:`~repro.errors.ContractViolation` in strict mode.
-* :mod:`~repro.validation.fastpath` -- the
-  :class:`~repro.validation.fastpath.Enclosure` every tier answers
+* :mod:`~repro.validation.enclosure` -- the
+  :class:`~repro.validation.enclosure.Enclosure` every tier answers
   with (a float, a guaranteed error bound and the tier's name) and
-  :func:`~repro.validation.fastpath.certifies`, the one tolerance
+  :func:`~repro.validation.enclosure.certifies`, the one tolerance
   predicate the batch and serve layers share.
 * :mod:`~repro.validation.oracle` -- the analytic <-> Monte Carlo <->
   exact-centralized cross-validation oracle behind ``repro check``:
@@ -22,7 +22,7 @@ Three layers of defence against silently wrong numbers:
   produces a machine-readable agreement report with per-case z-scores
   and a pass/fail verdict.
 
-``contracts`` and ``fastpath`` sit *below* the numeric layers (they
+``contracts`` and ``enclosure`` sit *below* the numeric layers (they
 import nothing but ``repro.errors`` and ``repro.observability``) so
 ``probability``/``geometry``/``core`` can call into them; ``oracle``
 sits *above* everything and is therefore imported lazily here to keep
@@ -43,7 +43,7 @@ from repro.validation.contracts import (
     use_contracts,
     violation_count,
 )
-from repro.validation.fastpath import Enclosure
+from repro.validation.enclosure import Enclosure
 
 __all__ = [
     "AgreementReport",

@@ -8,10 +8,6 @@ the batch layer's compiled tables and the serve layer's degradation
 ladder share, and :data:`EPS` the machine epsilon their bounds are
 written in.
 
-The module name is historical: it holds no float fast path.  The
-exact integer kernels of :mod:`repro.probability.uniform_sums` answer
-every Irwin-Hall order up to the regime ceiling.
-
 Pure float/math code with no imports from the rest of the package.
 """
 

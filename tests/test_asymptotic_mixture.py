@@ -44,7 +44,7 @@ from repro.probability.regimes import (
     irwin_hall_cdf_regime,
 )
 from repro.probability.uniform_sums import irwin_hall_cdf
-from repro.validation.fastpath import EPS
+from repro.validation.enclosure import EPS
 
 FORCE_ASYMPTOTIC = RegimePolicy(
     exact_max_n=0, exact_max_m=0, certified_max_m=0

@@ -1,6 +1,4 @@
-"""Tests for repro.baselines (fair coin, centralized, PY 1991)."""
-
-from fractions import Fraction
+"""Tests for repro.baselines.centralized."""
 
 import numpy as np
 import pytest
@@ -11,41 +9,6 @@ from repro.baselines.centralized import (
     centralized_winning_probability,
     greedy_assignment,
 )
-from repro.baselines.fair_coin import (
-    fair_coin_profile,
-    fair_coin_system,
-    fair_coin_value,
-)
-from repro.baselines.py1991 import (
-    WeightedAverageRule,
-    py_conjectured_threshold,
-    py_threshold_system,
-)
-from repro.core.oblivious import optimal_oblivious_winning_probability
-from repro.core.winning import exact_winning_probability
-
-
-class TestFairCoin:
-    def test_profile(self):
-        profile = fair_coin_profile(4)
-        assert len(profile) == 4
-        assert all(coin.alpha == Fraction(1, 2) for coin in profile)
-
-    def test_value_matches_theorem(self):
-        for n in (2, 3, 5):
-            assert fair_coin_value(n, 1) == (
-                optimal_oblivious_winning_probability(1, n)
-            )
-
-    def test_system_exact_evaluation(self):
-        system = fair_coin_system(3, 1)
-        assert exact_winning_probability(system.algorithms, 1) == (
-            Fraction(5, 12)
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fair_coin_profile(0)
 
 
 class TestBestPossibleWin:
@@ -144,44 +107,3 @@ class TestOmniscientPacker:
         with pytest.raises(ValueError):
             OmniscientPacker(3, 3)
 
-
-class TestPY1991:
-    def test_conjectured_threshold_value(self):
-        beta = py_conjectured_threshold(Fraction(1, 10**15))
-        assert abs(float(beta) - (1 - (1 / 7) ** 0.5)) < 1e-14
-
-    def test_threshold_system_is_optimal(self):
-        from repro.optimize.threshold_opt import optimal_symmetric_threshold
-
-        system = py_threshold_system()
-        value = exact_winning_probability(system.algorithms, 1)
-        optimum = optimal_symmetric_threshold(3, 1).probability
-        assert abs(value - optimum) < Fraction(1, 10**9)
-
-    def test_weighted_average_no_observation_equals_threshold(self, rng):
-        rule = WeightedAverageRule(Fraction(3, 10))
-        single = rule.as_single_threshold()
-        for x in (0.0, 0.29, 0.3, 0.31, 1.0):
-            assert rule.decide(x, {}, rng) == single.decide(x, {}, rng)
-
-    def test_weighted_average_uses_observations(self, rng):
-        rule = WeightedAverageRule(
-            Fraction(1, 2),
-            own_weight=Fraction(1, 2),
-            observed_weights={1: Fraction(1, 2)},
-        )
-        # own 0.4: score 0.2 alone -> 0; with x_1 = 0.8 observed,
-        # score 0.2 + 0.4 = 0.6 > 1/2 -> 1
-        assert rule.decide(0.4, {}, rng) == 0
-        assert rule.decide(0.4, {1: 0.8}, rng) == 1
-
-    def test_unknown_observations_ignored(self, rng):
-        rule = WeightedAverageRule(
-            Fraction(1, 2), observed_weights={1: Fraction(1)}
-        )
-        # player 2's input has no weight: ignored
-        assert rule.decide(0.4, {2: 0.9}, rng) == 0
-
-    def test_own_weight_validation(self):
-        with pytest.raises(ValueError):
-            WeightedAverageRule(Fraction(1, 2), own_weight=0)

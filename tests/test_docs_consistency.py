@@ -7,6 +7,7 @@ fails CI instead of misleading readers.
 """
 
 import importlib
+import importlib.util
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -139,6 +140,30 @@ class TestDesignMd:
             assert any(p.exists() for p in hits), (
                 f"DESIGN.md names {name} but it does not exist"
             )
+
+
+def load_example(path: Path):
+    """Import an example script as a module; its ``__main__`` guard
+    keeps ``main()`` from running."""
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestExamples:
+    @pytest.mark.parametrize(
+        "path", sorted((ROOT / "examples").glob("*.py")), ids=lambda p: p.name
+    )
+    def test_example_loads(self, path):
+        assert callable(load_example(path).main)
+
+    def test_weighted_average_without_observations_is_a_threshold(self, rng):
+        module = load_example(ROOT / "examples" / "communication_patterns.py")
+        rule = module.WeightedAverageRule(Fraction(3, 10))
+        single = rule.as_single_threshold()
+        for x in (0.0, 0.29, 0.3, 0.31, 1.0):
+            assert rule.decide(x, {}, rng) == single.decide(x, {}, rng)
 
 
 class TestVerifySkill:

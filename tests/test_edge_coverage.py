@@ -106,28 +106,6 @@ class TestSweepMetadata:
         assert all(p.consistent is None for p in result.points)
 
 
-class TestMomentsEdges:
-    def test_lagrange_interpolation_exactness(self):
-        from repro.probability.moments import _lagrange
-
-        xs = [Fraction(0), Fraction(1), Fraction(2), Fraction(3)]
-        target = Polynomial([1, -2, 0, Fraction(1, 3)])
-        poly = _lagrange(xs, [target(x) for x in xs])
-        assert poly == target
-
-    def test_overflow_with_shifted_intervals(self):
-        from repro.probability.moments import (
-            expected_overflow_single_bin,
-        )
-
-        # X ~ U[1/2, 1]: E[(X - 3/4)^+] = integral_{3/4}^1 (x - 3/4) * 2 dx
-        # = 2 * (1/4)^2 / 2 = 1/16
-        value = expected_overflow_single_bin(
-            Fraction(3, 4), [(Fraction(1, 2), 1)]
-        )
-        assert value == Fraction(1, 16)
-
-
 class TestCertifyExport:
     def test_available_from_package(self):
         from repro.optimize import certify_threshold_optimum

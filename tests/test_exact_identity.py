@@ -4,8 +4,8 @@ The kernels scale each alternating series to one common denominator,
 sum it over the integers and build one ``Fraction`` at the end.  Each
 is held here to the *identical* ``Fraction`` that the paper's formula
 gives when summed term by term in ``Fraction`` arithmetic: through
-:func:`alternating_subset_sum` over explicit subsets, or a local copy
-of the symmetric loop.  The inputs cover random rationals, integer
+:func:`alternating_subset_sum` over explicit subsets, or its symmetric
+collapse :func:`_symmetric`.  The inputs cover random rationals, integer
 ``t`` (the strict ``i < t`` edge), ``t`` exactly on a subset-sum knot,
 zero-width entries, ``m = 0``, ``t <= 0`` and ``t >= span``, and
 float-derived ``t`` with large power-of-two denominators (what the
@@ -13,6 +13,7 @@ large-``n`` mixture passes to the Irwin-Hall kernel).
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 from hypothesis import given, settings
@@ -25,7 +26,6 @@ from repro.core.nonoblivious import (
     symmetric_threshold_winning_probability,
 )
 from repro.geometry.volume import intersection_volume
-from repro.probability.inclusion_exclusion import alternating_subset_sum
 from repro.probability.uniform_sums import (
     irwin_hall_cdf,
     irwin_hall_pdf,
@@ -43,6 +43,21 @@ ZERO = Fraction(0)
 # ----------------------------------------------------------------------
 # The term-by-term formulas
 # ----------------------------------------------------------------------
+def alternating_subset_sum(elements, term, condition):
+    """``sum_{I subseteq elements, condition(I)} (-1)^|I| term(I)``.
+
+    *term* and *condition* receive the subset (a tuple) and its size.
+    Subsets failing the paper's strict condition contribute nothing:
+    their polytope corner is empty (Lemma 2.3).
+    """
+    total = ZERO
+    for size in range(len(elements) + 1):
+        for subset in combinations(elements, size):
+            if condition(subset, size):
+                total += (-1) ** size * term(subset, size)
+    return total
+
+
 def _symmetric(count, term, condition):
     """``sum_i (-1)^i C(count, i) term(i)`` over the ``i`` satisfying
     *condition*, one ``Fraction`` term at a time."""

@@ -3,14 +3,11 @@
 Only the fast examples run in the suite (the slower ones are exercised
 manually and by the benchmark harness, which covers the same code
 paths); each is executed in-process with its ``main()`` so failures
-give real tracebacks.  The ``repro`` imports of every example, fast or
-slow, are resolved without running it.
+give real tracebacks.  Every example, fast or slow, is also imported
+without running by ``tests/test_docs_consistency.py::TestExamples``.
 """
 
-import ast
-import importlib
 import runpy
-import sys
 from pathlib import Path
 
 import pytest
@@ -59,35 +56,3 @@ class TestRotaDensity:
         assert "Exact densities via Lemma 2.5" in out
         assert "SUSPICIOUS" not in out
 
-
-def repro_imports(script: Path):
-    """``(module, name)`` for every ``repro`` import in *script*; *name*
-    is ``None`` for a plain ``import repro...``."""
-    tree = ast.parse(script.read_text(), filename=str(script))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
-            node.module == "repro" or node.module.startswith("repro.")
-        ):
-            for alias in node.names:
-                yield node.module, alias.name
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "repro":
-                    yield alias.name, None
-
-
-class TestExampleImports:
-    """Every example's ``repro`` imports resolve, including the examples
-    too slow to run in the suite -- checked without running them."""
-
-    @pytest.mark.parametrize(
-        "script", sorted(EXAMPLES.glob("*.py")), ids=lambda p: p.name
-    )
-    def test_repro_imports_resolve(self, script):
-        imports = list(repro_imports(script))
-        assert imports, f"{script.name} imports nothing from repro"
-        for module_name, name in imports:
-            module = importlib.import_module(module_name)
-            if name is not None and not hasattr(module, name):
-                # ``from package import submodule`` names a module
-                importlib.import_module(f"{module_name}.{name}")

@@ -22,10 +22,6 @@ from repro.core.oblivious import (
 from repro.core.phi import phi
 from repro.geometry.volume import intersection_volume
 from repro.model.algorithms import IntervalRule
-from repro.probability.moments import (
-    expected_overflow_single_bin,
-    irwin_hall_moment,
-)
 from repro.probability.uniform_sums import (
     irwin_hall_cdf,
     irwin_hall_pdf,
@@ -79,11 +75,6 @@ class TestIrwinHallGolden:
     def test_pdf_peak_values(self):
         assert irwin_hall_pdf(1, 2) == 1
         assert irwin_hall_pdf(F(3, 2), 3) == F(3, 4)
-
-    def test_moments(self):
-        assert irwin_hall_moment(1, 3) == F(3, 2)
-        assert irwin_hall_moment(2, 3) == F(3, 12) + F(9, 4)
-        assert irwin_hall_moment(3, 2) == F(3, 2)
 
 
 class TestWinningGolden:
@@ -143,12 +134,6 @@ class TestSumGolden:
         assert sum_uniform_tail_cdf(F(3, 2), [F(1, 4), F(1, 2)]) == F(
             2, 3
         )
-
-    def test_expected_overflow(self):
-        assert expected_overflow_single_bin(1, [(0, 1), (0, 1)]) == F(1, 6)
-        assert expected_overflow_single_bin(
-            F(1, 2), [(0, 1)]
-        ) == F(1, 8)
 
 
 class TestIntervalRuleGolden:

@@ -5,6 +5,7 @@ location it validates.  Deviations discovered during the reproduction
 are asserted as such and cross-referenced in EXPERIMENTS.md.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from repro.core.oblivious import (
     oblivious_winning_probability,
     optimal_oblivious_winning_probability,
 )
-from repro.core.optimality import oblivious_gradient
+from repro.core.optimality import oblivious_gradient, oblivious_partial
 from repro.optimize.threshold_opt import optimal_symmetric_threshold
 from repro.symbolic.polynomial import Polynomial
 
@@ -143,13 +144,68 @@ class TestSection4_Oblivious:
     """Theorem 4.3 and its scope."""
 
     def test_fair_coin_stationary_for_many_n_t(self):
-        for n in (2, 3, 4, 5, 6):
+        for n in (2, 3, 4, 5, 6, 10):
             for t in (Fraction(1, 2), 1, Fraction(4, 3), 2):
                 grad = oblivious_gradient(t, [Fraction(1, 2)] * n)
                 assert all(g == 0 for g in grad)
 
     def test_optimal_oblivious_value_n3(self):
         assert optimal_oblivious_winning_probability(1, 3) == Fraction(5, 12)
+
+    T_VALUES = (Fraction(1, 2), Fraction(1), Fraction(4, 3))
+
+    @staticmethod
+    def seeded_profiles():
+        """Three rational profiles each for n = 3, 4, 5."""
+        rng = random.Random(45)
+        return [
+            [Fraction(rng.randint(1, 19), 20) for _ in range(n)]
+            for n in (3, 4, 5)
+            for _ in range(3)
+        ]
+
+    def test_lemma_4_5_exchange_symmetry(self):
+        """Lemma 4.5: dP/dalpha_j == dP/dalpha_k whenever
+        alpha_j == alpha_k, so stationary points can be taken
+        symmetric."""
+        for t in self.T_VALUES:
+            for alphas in self.seeded_profiles():
+                for j in range(len(alphas)):
+                    for k in range(j + 1, len(alphas)):
+                        diagonal = list(alphas)
+                        diagonal[k] = diagonal[j]
+                        assert oblivious_partial(
+                            t, diagonal, j
+                        ) == oblivious_partial(t, diagonal, k)
+        off_diagonal = [Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)]
+        assert oblivious_partial(1, off_diagonal, 0) != oblivious_partial(
+            1, off_diagonal, 1
+        )
+
+    def test_theorem_4_1_is_multilinear(self):
+        """P is affine in each alpha_k: dP/dalpha_k does not depend on
+        alpha_k, equals P(alpha_k = 1) - P(alpha_k = 0), and P at
+        alpha_k = 1/2 is the mean of the two ends."""
+
+        def with_k(alphas, k, value):
+            return alphas[:k] + [Fraction(value)] + alphas[k + 1 :]
+
+        for t in self.T_VALUES:
+            for alphas in self.seeded_profiles():
+                for k in range(len(alphas)):
+                    ends = [
+                        oblivious_winning_probability(t, with_k(alphas, k, v))
+                        for v in (0, 1)
+                    ]
+                    middle = oblivious_winning_probability(
+                        t, with_k(alphas, k, Fraction(1, 2))
+                    )
+                    assert middle == (ends[0] + ends[1]) / 2
+                    partials = {
+                        oblivious_partial(t, with_k(alphas, k, v), k)
+                        for v in (0, Fraction(1, 3), 1)
+                    }
+                    assert partials == {ends[1] - ends[0]}
 
     def test_uniformity_alpha_half_for_all_n(self):
         from repro.optimize.oblivious_opt import solve_oblivious_optimum
