@@ -165,6 +165,31 @@ class TestExamples:
         for x in (0.0, 0.29, 0.3, 0.31, 1.0):
             assert rule.decide(x, {}, rng) == single.decide(x, {}, rng)
 
+    def test_weighted_average_uses_observations(self, rng):
+        module = load_example(ROOT / "examples" / "communication_patterns.py")
+        rule = module.WeightedAverageRule(
+            Fraction(1, 2),
+            own_weight=Fraction(1, 2),
+            observed_weights={1: Fraction(1, 2)},
+        )
+        # own 0.4: score 0.2 alone -> 0; with x_1 = 0.8 observed,
+        # score 0.2 + 0.4 = 0.6 > 1/2 -> 1
+        assert rule.decide(0.4, {}, rng) == 0
+        assert rule.decide(0.4, {1: 0.8}, rng) == 1
+
+    def test_weighted_average_ignores_unweighted_observations(self, rng):
+        module = load_example(ROOT / "examples" / "communication_patterns.py")
+        rule = module.WeightedAverageRule(
+            Fraction(1, 2), observed_weights={1: Fraction(1)}
+        )
+        # player 2's input has no weight: ignored
+        assert rule.decide(0.4, {2: 0.9}, rng) == 0
+
+    def test_weighted_average_own_weight_validation(self):
+        module = load_example(ROOT / "examples" / "communication_patterns.py")
+        with pytest.raises(ValueError):
+            module.WeightedAverageRule(Fraction(1, 2), own_weight=0)
+
 
 class TestVerifySkill:
     def test_command_list_matches_the_command_table(self):

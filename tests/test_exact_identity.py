@@ -223,6 +223,51 @@ def high_knots(alphas):
 # ----------------------------------------------------------------------
 # Corollary 2.6 and its density
 # ----------------------------------------------------------------------
+class TestReferenceSums:
+    """The term-by-term references themselves, on hand-checkable sums."""
+
+    def test_binomial_identity(self):
+        # sum over subsets of (-1)^|I| = (1 - 1)^m = 0 for m >= 1
+        assert alternating_subset_sum(
+            [1, 2, 3], lambda subset, size: 1, lambda subset, size: True
+        ) == 0
+
+    def test_empty_ground_set(self):
+        # only the empty subset
+        assert alternating_subset_sum(
+            [], lambda subset, size: 7, lambda subset, size: True
+        ) == 7
+
+    def test_condition_filters_subsets(self):
+        # {}: +1, {1}: -1, {2}: -1, {1, 2}: excluded (sum 3 not < 3)
+        assert alternating_subset_sum(
+            [1, 2],
+            lambda subset, size: 1,
+            lambda subset, size: sum(subset) < 3,
+        ) == -1
+
+    def test_term_receives_subset_and_size(self):
+        records = []
+
+        def term(subset, size):
+            records.append((subset, size))
+            return ZERO
+
+        alternating_subset_sum([10, 20], term, lambda subset, size: True)
+        assert records == [((), 0), ((10,), 1), ((20,), 1), ((10, 20), 2)]
+
+    def test_symmetric_collapse_matches_subsets(self):
+        # a term that depends only on the size collapses to _symmetric
+        generic = alternating_subset_sum(
+            ["a", "b", "c", "d"],
+            lambda subset, size: Fraction(size + 1, 3),
+            lambda subset, size: size != 2,
+        )
+        assert generic == _symmetric(
+            4, lambda i: Fraction(i + 1, 3), lambda i: i != 2
+        )
+
+
 class TestIrwinHall:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 40), st.data())

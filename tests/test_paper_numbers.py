@@ -140,6 +140,34 @@ class TestSection522_N4Delta43:
         assert abs(beta3 - beta4) > Fraction(1, 100)
 
 
+def seeded_profiles():
+    """Three seeded rational profiles each for n = 3, 4, 5."""
+    rng = random.Random(45)
+    return [
+        [Fraction(rng.randint(1, 19), 20) for _ in range(n)]
+        for n in (3, 4, 5)
+        for _ in range(3)
+    ]
+
+
+def with_k(alphas, k, value):
+    return alphas[:k] + [Fraction(value)] + alphas[k + 1 :]
+
+
+PROFILE_CASES = pytest.mark.parametrize(
+    "t, alphas",
+    [
+        (t, alphas)
+        for t in (Fraction(1, 2), Fraction(1), Fraction(4, 3))
+        for alphas in seeded_profiles()
+    ],
+    ids=lambda v: (
+        f"t={v}"
+        if isinstance(v, Fraction)
+        else f"n={len(v)}:" + ",".join(map(str, v))
+    ),
+)
+
 class TestSection4_Oblivious:
     """Theorem 4.3 and its scope."""
 
@@ -152,60 +180,52 @@ class TestSection4_Oblivious:
     def test_optimal_oblivious_value_n3(self):
         assert optimal_oblivious_winning_probability(1, 3) == Fraction(5, 12)
 
-    T_VALUES = (Fraction(1, 2), Fraction(1), Fraction(4, 3))
-
-    @staticmethod
-    def seeded_profiles():
-        """Three rational profiles each for n = 3, 4, 5."""
-        rng = random.Random(45)
-        return [
-            [Fraction(rng.randint(1, 19), 20) for _ in range(n)]
-            for n in (3, 4, 5)
-            for _ in range(3)
-        ]
-
-    def test_lemma_4_5_exchange_symmetry(self):
+    @PROFILE_CASES
+    def test_lemma_4_5_exchange_symmetry(self, t, alphas):
         """Lemma 4.5: dP/dalpha_j == dP/dalpha_k whenever
         alpha_j == alpha_k, so stationary points can be taken
         symmetric."""
-        for t in self.T_VALUES:
-            for alphas in self.seeded_profiles():
-                for j in range(len(alphas)):
-                    for k in range(j + 1, len(alphas)):
-                        diagonal = list(alphas)
-                        diagonal[k] = diagonal[j]
-                        assert oblivious_partial(
-                            t, diagonal, j
-                        ) == oblivious_partial(t, diagonal, k)
+        for j in range(len(alphas)):
+            for k in range(j + 1, len(alphas)):
+                diagonal = list(alphas)
+                diagonal[k] = diagonal[j]
+                assert oblivious_partial(t, diagonal, j) == oblivious_partial(
+                    t, diagonal, k
+                )
+
+    def test_lemma_4_5_partials_differ_off_the_diagonal(self):
         off_diagonal = [Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)]
         assert oblivious_partial(1, off_diagonal, 0) != oblivious_partial(
             1, off_diagonal, 1
         )
 
-    def test_theorem_4_1_is_multilinear(self):
+    @PROFILE_CASES
+    def test_theorem_4_1_partial_ignores_own_coordinate(self, t, alphas):
         """P is affine in each alpha_k: dP/dalpha_k does not depend on
-        alpha_k, equals P(alpha_k = 1) - P(alpha_k = 0), and P at
-        alpha_k = 1/2 is the mean of the two ends."""
+        alpha_k and equals P(alpha_k = 1) - P(alpha_k = 0)."""
+        for k in range(len(alphas)):
+            ends = [
+                oblivious_winning_probability(t, with_k(alphas, k, v))
+                for v in (0, 1)
+            ]
+            partials = {
+                oblivious_partial(t, with_k(alphas, k, v), k)
+                for v in (0, Fraction(1, 3), alphas[k], 1)
+            }
+            assert partials == {ends[1] - ends[0]}
 
-        def with_k(alphas, k, value):
-            return alphas[:k] + [Fraction(value)] + alphas[k + 1 :]
-
-        for t in self.T_VALUES:
-            for alphas in self.seeded_profiles():
-                for k in range(len(alphas)):
-                    ends = [
-                        oblivious_winning_probability(t, with_k(alphas, k, v))
-                        for v in (0, 1)
-                    ]
-                    middle = oblivious_winning_probability(
-                        t, with_k(alphas, k, Fraction(1, 2))
-                    )
-                    assert middle == (ends[0] + ends[1]) / 2
-                    partials = {
-                        oblivious_partial(t, with_k(alphas, k, v), k)
-                        for v in (0, Fraction(1, 3), 1)
-                    }
-                    assert partials == {ends[1] - ends[0]}
+    @PROFILE_CASES
+    def test_theorem_4_1_is_multilinear(self, t, alphas):
+        """P at alpha_k = 1/2 is the mean of P at alpha_k = 0 and 1."""
+        for k in range(len(alphas)):
+            ends = [
+                oblivious_winning_probability(t, with_k(alphas, k, v))
+                for v in (0, 1)
+            ]
+            middle = oblivious_winning_probability(
+                t, with_k(alphas, k, Fraction(1, 2))
+            )
+            assert middle == (ends[0] + ends[1]) / 2
 
     def test_uniformity_alpha_half_for_all_n(self):
         from repro.optimize.oblivious_opt import solve_oblivious_optimum
