@@ -24,41 +24,50 @@ where each factor is an Irwin-Hall CDF after rescaling:
   factors are plain ``IH(delta, .)``.
 
 Each window is evaluated as arrays: the counts ``k`` and both bins'
-factor points and orders, then every factor of order above the
-policy's exact ceiling (160 by default) in one pass of the Edgeworth /
-Hoeffding assembly
-(:func:`repro.probability.asymptotics.irwin_hall_asymptotic_lanes`),
-and every distinct smaller-order point once through the regime
-dispatcher (:func:`repro.probability.regimes.irwin_hall_cdf_regime`).
-Those exact factors bypass the cache: their points are floats with
-``2^52`` denominators that no later query repeats, so the mixture
-persists nothing.  Each lane performs the scalar formula's IEEE
-operations in the same order, and value and bound are summed in the
-order of the scalar two-sided walk, so every answer is bit-identical to
-summing term by term.  Per-factor bounds ``e0, e1`` combine into a
-per-term bound ``e0 + e1 + e0 e1`` (from ``|v0 v1 - F0 F1|`` with both
-factors in ``[0, 1]``), and the binomial tail outside the evaluated
-window -- chosen by a Bernstein-inequality radius so its total mass is
-below ``policy.tail_tol`` -- is charged to the bound verbatim.  The
-window has ``O(sqrt(n log(1/tail_tol)))`` terms, so ``n = 10**6``
-evaluates in about 7 ms (2-vCPU guest).
+factor points and orders, then every factor inside the support in one
+pass of the Edgeworth / Hoeffding assembly
+(:func:`repro.probability.asymptotics.irwin_hall_asymptotic_lanes`).
+The exact tier then runs only where it changes the bound.  A factor of
+order at most the policy's exact ceiling (160 by default) is
+*eligible*; its share of the bound is ``pmf(k) * e``.  The smallest
+eligible shares stay asymptotic while their sum stays below ``EPS``
+times the summed share of the ineligible factors, and every other
+eligible factor is upgraded.  When every factor is eligible (``n <=
+160``), none is fixed, so all are upgraded; otherwise the bound grows
+by at most one part in ``2^52``.  Upgraded factors are evaluated once
+per distinct ``(t, m)``, one exact column per shared point
+(:func:`repro.probability.regimes.irwin_hall_exact_column`): bin 0 of
+the threshold rule and both bins of the oblivious rule share one ``t``
+across the window.  Those exact factors touch no cache: their points
+are floats with ``2^52`` denominators that no later query repeats, so
+the mixture persists nothing.  Each lane performs the scalar formula's
+IEEE operations in the same order, and value and bound are summed in
+the order of the scalar two-sided walk, so every answer is
+bit-identical to summing term by term.  Per-factor bounds ``e0, e1``
+combine into a per-term bound ``e0 + e1 + e0 e1`` (from ``|v0 v1 - F0
+F1|`` with both factors in ``[0, 1]``), and the binomial tail outside
+the evaluated window -- chosen by a Bernstein-inequality radius so its
+total mass is below ``policy.tail_tol`` -- is charged to the bound
+verbatim.  The window has ``O(sqrt(n log(1/tail_tol)))`` terms, so
+``n = 10**6`` evaluates in about 7 ms (2-vCPU guest).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Tuple
 
 import numpy as np
 
-from repro.cache import bypass_cache
 from repro.errors import ValidationError
 from repro.probability.asymptotics import irwin_hall_asymptotic_lanes
 from repro.probability.regimes import (
     DEFAULT_POLICY,
     RegimePolicy,
-    irwin_hall_cdf_regime,
+    irwin_hall_exact_column,
 )
 from repro.symbolic.rational import RationalLike, as_fraction
 from repro.validation.enclosure import EPS, TIER_ASYMPTOTIC, Enclosure
@@ -97,41 +106,59 @@ def binomial_window(
 
 
 def _ih_factors(
-    t: np.ndarray, m: np.ndarray, policy: RegimePolicy
+    t: np.ndarray, m: np.ndarray, weight: np.ndarray, policy: RegimePolicy
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(values, error_bounds)`` of ``IH(t[i], m[i])`` for every lane.
 
     Lanes outside the open support (``t <= 0``, ``t >= m``, ``m = 0``)
     are exact 0 or 1 and are never evaluated, so an infinite ``t``
-    reaches no arithmetic.  Orders above ``policy.exact_ceiling`` go
-    through the asymptotic tier in one array pass.  Smaller orders go
-    through the regime dispatcher, once per distinct ``(t, m)``, with
-    the cache bypassed: their points are one-off floats (``2^52``
-    denominators) that no later query asks for again, so storing them
-    would only cost a disk write each.  The orders *m* are floats,
-    exact up to ``2**53``; only the single count of a degenerate window
-    can exceed that, and its factor is asymptotic, which reads a float
-    order anyway.
+    reaches no arithmetic.  Every other lane is answered by the
+    asymptotic tier in one array pass.  Lanes of order at most
+    ``policy.exact_ceiling`` are then eligible for the exact tier, by
+    their share ``weight * bound`` of the caller's bound: the longest
+    run of the smallest eligible shares whose sum stays below ``EPS``
+    times the summed share of the ineligible lanes keeps its
+    asymptotic answer, and every other eligible lane is upgraded.  So
+    when every lane is eligible, every one is upgraded; otherwise the
+    weighted bound grows by at most one part in ``2^52``.
+
+    Upgraded lanes are evaluated once per distinct ``(t, m)``, one
+    exact column per distinct ``t``
+    (:func:`~repro.probability.regimes.irwin_hall_exact_column`), which
+    caches nothing: the points are one-off floats (``2^52``
+    denominators) that no later query asks for again.  The orders *m*
+    are floats, exact up to ``2**53``; only the single count of a
+    degenerate window can exceed that, and its factor is asymptotic,
+    which reads a float order anyway.
     """
     # Outside the support: 1 where t >= m (the empty sum included).
     value = np.where(t >= m, 1.0, 0.0)
     bound = np.zeros(m.shape)
     inside = (t > 0.0) & (t < m)
-    lanes = inside & (m > policy.exact_ceiling)
-    if lanes.any():
-        value[lanes], bound[lanes] = irwin_hall_asymptotic_lanes(
-            t[lanes], m[lanes], policy.method
+    if not inside.any():
+        return value, bound
+    value[inside], bound[inside] = irwin_hall_asymptotic_lanes(
+        t[inside], m[inside], policy.method
+    )
+    eligible = np.flatnonzero(inside & (m <= policy.exact_ceiling))
+    if not eligible.size:
+        return value, bound
+    share = weight * bound
+    fixed = math.fsum(share[inside & (m > policy.exact_ceiling)].tolist())
+    by_share = eligible[np.argsort(share[eligible], kind="stable")]
+    kept = np.searchsorted(np.cumsum(share[by_share]), EPS * fixed)
+    lanes = by_share[kept:]
+    points = list(zip(t[lanes].tolist(), m[lanes].astype(int).tolist()))
+    answers = {}
+    # Sorted by t, then m: the orders of each column ascend.
+    for point_t, column in groupby(sorted(set(points)), itemgetter(0)):
+        column = list(column)
+        orders = [order for _, order in column]
+        answers.update(
+            zip(column, zip(*irwin_hall_exact_column(point_t, orders)))
         )
-    lanes = inside & (m <= policy.exact_ceiling)
-    if lanes.any():
-        points = list(zip(t[lanes].tolist(), m[lanes].astype(int).tolist()))
-        with bypass_cache():
-            answers = {
-                point: irwin_hall_cdf_regime(*point, policy)
-                for point in dict.fromkeys(points)
-            }
-        value[lanes] = [answers[point].value for point in points]
-        bound[lanes] = [answers[point].error_bound for point in points]
+    value[lanes] = [answers[point][0] for point in points]
+    bound[lanes] = [answers[point][1] for point in points]
     return value, bound
 
 
@@ -202,7 +229,10 @@ def _binomial_mixture(
     with np.errstate(under="ignore"):
         t0, t1 = points(ks)
         value, bound = _ih_factors(
-            np.concatenate((t0, t1)), np.concatenate((n - ks, ks)), policy
+            np.concatenate((t0, t1)),
+            np.concatenate((n - ks, ks)),
+            np.concatenate((pmf, pmf)),
+            policy,
         )
         v0, v1 = np.split(value, 2)
         e0, e1 = np.split(bound, 2)
@@ -266,7 +296,7 @@ def symmetric_threshold_winning_regime(
         # All inputs land in one bin; its load is a plain sum of n
         # iid U[0, 1] regardless of which bin that is.
         value, bound = _ih_factors(
-            np.array([delta_f]), np.array([float(n)]), policy
+            np.array([delta_f]), np.array([float(n)]), np.ones(1), policy
         )
         return Enclosure(
             float(value[0]), float(bound[0]), TIER_ASYMPTOTIC, policy.method

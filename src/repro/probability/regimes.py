@@ -18,8 +18,10 @@ recording which tier answered and the guaranteed two-sided error
 bound, so downstream consumers
 (the large-``n`` winning-probability engine, the serve layer, the
 validation grid) can propagate certified enclosures instead of bare
-floats.  Dispatch decisions are counted on the active metrics
-registry under ``asymptotics.dispatch.<regime>``.
+floats.  :func:`irwin_hall_exact_column` is the exact tier for several
+orders at one float point, as value and bound lists: the large-``n``
+binomial mixture's upgraded factors.  Dispatch decisions are counted
+on the active metrics registry under ``asymptotics.dispatch.<regime>``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import List, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.probability.asymptotics import (
@@ -34,8 +37,14 @@ from repro.probability.asymptotics import (
     irwin_hall_cdf_asymptotic,
 )
 from repro.probability.uniform_sums import irwin_hall_cdf
-from repro.symbolic.rational import RationalLike, as_fraction
+from repro.symbolic.rational import (
+    RationalLike,
+    alternating_power_sums,
+    as_fraction,
+)
+from repro.validation.contracts import check_probability
 from repro.validation.enclosure import (
+    EPS,
     TIER_ASYMPTOTIC as REGIME_ASYMPTOTIC,
     TIER_EXACT as REGIME_EXACT,
     Enclosure,
@@ -47,6 +56,7 @@ __all__ = [
     "REGIME_EXACT",
     "RegimePolicy",
     "irwin_hall_cdf_regime",
+    "irwin_hall_exact_column",
 ]
 
 
@@ -55,8 +65,12 @@ class RegimePolicy:
     """Crossover thresholds and the tail budget for regime dispatch.
 
     ``exact_max_m`` and ``certified_max_m`` both bound the Irwin-Hall
-    order answered exactly; :attr:`exact_ceiling` is the larger of the
-    two, and anything above it goes asymptotic.  ``exact_max_n`` is
+    orders *eligible* for the exact tier; :attr:`exact_ceiling` is the
+    larger of the two, and anything above it goes asymptotic.
+    :func:`irwin_hall_cdf_regime` answers every eligible order
+    exactly; the binomial mixture of :mod:`repro.core.asymptotic`
+    upgrades an eligible factor only where its share of the bound
+    matters.  ``exact_max_n`` is
     the player-count ceiling for the exact winning-probability
     formulas (the ``O(n^2)``/``O(2^n)`` layer above this module).
     ``tail_tol`` is the truncation budget the binomial-mixture
@@ -81,7 +95,7 @@ class RegimePolicy:
 
     @property
     def exact_ceiling(self) -> int:
-        """The largest Irwin-Hall order the exact tier answers."""
+        """The largest Irwin-Hall order eligible for the exact tier."""
         return max(self.exact_max_m, self.certified_max_m)
 
 
@@ -127,3 +141,30 @@ def irwin_hall_cdf_regime(
     # tiny t up to the smallest subnormal keeps the enclosure sound).
     t_f = max(float(min(tt, m)), math.ulp(0.0)) if tt > 0 else 0.0
     return irwin_hall_cdf_asymptotic(t_f, m, method=policy.method)
+
+
+def irwin_hall_exact_column(
+    t: float, orders: Sequence[int]
+) -> Tuple[List[float], List[float]]:
+    """``(values, error_bounds)`` of the exact tier at one float point
+    ``t > 0`` for the ascending *orders*, each above ``t``.
+
+    Each pair equals :func:`irwin_hall_cdf_regime`'s exact answer at
+    ``(t, m)``, and each order counts as one exact dispatch, but the
+    integer sums come from one column
+    (:func:`~repro.symbolic.rational.alternating_power_sums`) and are
+    rounded by ``int`` true division, which is correctly rounded, so
+    no ``Fraction`` is built and nothing is cached.  Inside the
+    support the CDF is positive, so every bound is the rounding bound
+    of a non-zero value.
+    """
+    tt = Fraction(t)
+    q = tt.denominator
+    sums = alternating_power_sums(tt.numerator, q, orders)
+    values = []
+    for m, total in zip(orders, sums):
+        _count(REGIME_EXACT)
+        values.append(check_probability(
+            "irwin_hall_cdf", total / (math.factorial(m) * q**m)
+        ))
+    return values, [max(EPS * v, math.ulp(0.0)) for v in values]

@@ -61,6 +61,7 @@ from repro.errors import ValidationError
 from repro.symbolic.rational import (
     RationalLike,
     alternating_power_sum,
+    alternating_power_sums,
     alternating_subset_power_sum,
     as_fraction,
     common_denominator,
@@ -170,7 +171,7 @@ def irwin_hall_cdf(t: RationalLike, m: int) -> Fraction:
     if tt >= m:
         return Fraction(1)
     q = tt.denominator
-    total = alternating_power_sum(tt.numerator, q, m, m)
+    (total,) = alternating_power_sums(tt.numerator, q, [m])
     value = Fraction(total, factorial(m) * q**m)
     return check_probability("irwin_hall_cdf", value)
 

@@ -8,9 +8,12 @@ what is the optimal strategy?" -- under explicit robustness contracts:
   overload sheds with 429 + Retry-After instead of queueing unboundedly
   (:mod:`repro.serve.admission`);
 * **deadline budgets** -- every request's budget is propagated into the
-  kernel tiers: certified float, then exact ``Fraction`` only while
-  budget remains, else a degraded answer carrying its certified error
-  bound (:mod:`repro.serve.degrade`);
+  tier ladder of :mod:`repro.serve.degrade`: the compiled piecewise
+  table's value with its a-posteriori bound (``tier: "certified"``),
+  then the exact ``Fraction`` kernel only while budget remains
+  (``"exact"``), else the table's value served with its bound
+  (``"degraded"``); beyond ``max_n`` the asymptotic regime engine
+  answers (``"asymptotic"``);
 * **circuit breaking** -- sustained slow exact fallbacks trip the exact
   tier open; the service keeps answering, explicitly degraded;
 * **graceful drain** -- SIGTERM/SIGINT stop intake and let in-flight

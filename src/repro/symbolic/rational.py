@@ -17,6 +17,7 @@ floats would make exact results depend on a heuristic.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
@@ -28,6 +29,7 @@ RationalLike = Union[int, Fraction, str, float]
 __all__ = [
     "RationalLike",
     "alternating_power_sum",
+    "alternating_power_sums",
     "alternating_subset_power_sum",
     "as_fraction",
     "binomial",
@@ -135,6 +137,51 @@ def alternating_power_sum(top: int, step: int, count: int, power: int) -> int:
         term = math.comb(count, i) * base**power
         total += -term if i & 1 else term
     return total
+
+
+def alternating_power_sums(
+    top: int, step: int, orders: Sequence[int]
+) -> List[int]:
+    """``[alternating_power_sum(top, step, m, m) for m in orders]``.
+
+    The Irwin-Hall column at one point ``top/step``: *orders* must
+    ascend.  The powers ``(top - i*step)^m`` and binomials ``C(m, i)``
+    carry over from one order to the next, so the next consecutive
+    order costs one small multiply per term (and a Pascal addition per
+    binomial) instead of a fresh ``pow``; a gap of ``g`` orders
+    multiplies by ``(top - i*step)^g`` and recomputes the binomials.
+    """
+    sums = []
+    bases: List[int] = []  # top - i*step > 0 for the terms in use
+    powers: List[int] = []  # bases[i]**m
+    row: List[int] = []  # C(m, i)
+    m = 0
+    for order in orders:
+        gap = order - m
+        if gap < 0:
+            raise ValidationError(
+                f"orders must ascend, got {order} after {m}"
+            )
+        if gap == 1:
+            powers = list(map(operator.mul, powers, bases))
+            row = row[:1] + list(map(operator.add, row[1:], row))
+        elif gap:
+            powers = [p * b**gap for p, b in zip(powers, bases)]
+            row = [math.comb(order, i) for i in range(len(row))]
+        m = order
+        # Terms join while i <= m and the base stays positive.
+        for i in range(len(bases), m + 1):
+            base = top - i * step
+            if base <= 0:
+                break
+            bases.append(base)
+            powers.append(base**m)
+            row.append(math.comb(m, i))
+        sums.append(
+            sum(map(operator.mul, row[::2], powers[::2]))
+            - sum(map(operator.mul, row[1::2], powers[1::2]))
+        )
+    return sums
 
 
 def alternating_subset_power_sum(

@@ -66,8 +66,7 @@ class Enclosure:
     The guarantee is ``|true value - value| <= error_bound``.
     *regime* is the tier that answered (a ``TIER_*`` constant),
     *method* the kernel inside it, and *exact* the untruncated
-    ``Fraction`` when there is one.  A plain frozen dataclass: the
-    mixture hot path builds one per small-order factor.
+    ``Fraction`` when there is one.  A plain frozen dataclass.
     """
 
     value: float

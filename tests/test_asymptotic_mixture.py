@@ -1,13 +1,17 @@
 """The large-``n`` binomial mixture against its term-by-term reference.
 
 :mod:`repro.core.asymptotic` evaluates each binomial window as arrays:
-the factor points and orders of both bins, the asymptotic factors in
-one pass of the Edgeworth / Hoeffding assembly, and each distinct
-small-order point once through the exact tier.  This file keeps the
-scalar per-``k`` loop that did the same job one term at a time, with
-the scalar assembly it called, and holds the array form to them with
-``==``: the array form performs the same IEEE operations in the same
-order, so every answer and counter must be bit-identical.
+the factor points and orders of both bins, every factor inside the
+support in one pass of the Edgeworth / Hoeffding assembly, then the
+exact tier for the lanes whose share of the bound matters, once per
+distinct point and one column per shared ``t``.  This file keeps a
+scalar reference that does the same job one lane and one term at a
+time, with the scalar assembly and the scalar exact dispatcher, and
+holds the array form to it with ``==``: the array form performs the
+same IEEE operations in the same order, so every answer and counter
+must be bit-identical.  The reference can also upgrade every eligible
+lane, the rule before the share rule: at ``n <= 160`` that must change
+nothing, and above it the answer must stay inside that enclosure.
 
 It also pins what the mixture persists (nothing: its exact factors are
 one-off float points) and its behaviour at float edges, under numpy's
@@ -23,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.cache import cache_stats, configure_cache
+from repro.cache import bypass_cache, cache_stats, configure_cache
 from repro.core.asymptotic import (
     _ih_factors,
     binomial_window,
@@ -98,99 +102,121 @@ def ref_ih_asymptotic(t, m, method):
     )
 
 
-def ref_ih_factor(t, m, policy):
-    if m == 0:
-        return (1.0, 0.0) if t >= 0.0 else (0.0, 0.0)
-    if t <= 0.0:
-        return (0.0, 0.0)
-    if t >= m:
-        return (1.0, 0.0)
-    if m > policy.exact_ceiling:
-        return ref_ih_asymptotic(t, m, policy.method)
-    result = irwin_hall_cdf_regime(t, m, policy)
-    return (result.value, result.error_bound)
+def ref_factors(lanes, policy, upgrade_all=False):
+    """``[(value, bound)]`` of the ``(t, m, weight)`` *lanes*, one lane
+    at a time: every lane inside the support asymptotic first, then the
+    eligible ones (``m <= exact_ceiling``) upgraded by the share rule --
+    or all of them, with *upgrade_all*."""
+    answers, shares, inside = [], [], []
+    for i, (t, m, weight) in enumerate(lanes):
+        if m == 0:
+            answers.append((1.0, 0.0) if t >= 0.0 else (0.0, 0.0))
+        elif t <= 0.0:
+            answers.append((0.0, 0.0))
+        elif t >= m:
+            answers.append((1.0, 0.0))
+        else:
+            answers.append(ref_ih_asymptotic(t, m, policy.method))
+            inside.append(i)
+        shares.append(weight * answers[-1][1])
+    eligible = [i for i in inside if lanes[i][1] <= policy.exact_ceiling]
+    fixed = math.fsum(
+        shares[i] for i in inside if lanes[i][1] > policy.exact_ceiling
+    )
+    eligible.sort(key=shares.__getitem__)
+    kept = 0
+    running = 0.0
+    for i in eligible:
+        running += shares[i]
+        if upgrade_all or running >= EPS * fixed:
+            break
+        kept += 1
+    with bypass_cache():
+        for i in eligible[kept:]:
+            result = irwin_hall_cdf_regime(lanes[i][0], lanes[i][1], policy)
+            answers[i] = (result.value, result.error_bound)
+    return answers
 
 
-def ref_mixture(n, p_one, f_zero, f_one, policy):
-    """``(value, bound, regime, method, terms)`` summed term by term."""
-    lo, hi = binomial_window(n, p_one, policy.tail_tol)
+def ref_pmf_window(n, p_one, lo, hi):
+    """``[(k, pmf)]`` down from the mode to *lo*, then up to *hi*."""
     q = 1.0 - p_one
+    mode = min(hi, max(lo, int((n + 1) * p_one)))
+    log_pmf = (
+        math.lgamma(n + 1)
+        - math.lgamma(mode + 1)
+        - math.lgamma(n - mode + 1)
+        + mode * math.log(p_one)
+        + (n - mode) * math.log(q)
+    )
+    pmf_mode = math.exp(log_pmf)
+    ratio_up = p_one / q
+    window = []
+    pmf = pmf_mode
+    for k in range(mode, lo - 1, -1):
+        window.append((k, pmf))
+        pmf = pmf * k / ((n - k + 1) * ratio_up)
+    pmf = pmf_mode
+    for k in range(mode + 1, hi + 1):
+        pmf = pmf * ratio_up * (n - k + 1) / k
+        window.append((k, pmf))
+    return window
+
+
+def ref_mixture(n, p_one, t_zero, t_one, policy, upgrade_all=False):
+    """``(value, bound, regime, method, terms)`` summed term by term.
+
+    Bin 0 of count ``k`` is ``IH(t_zero, n - k)``, bin 1 is
+    ``IH(t_one(k), k)``."""
+    lo, hi = binomial_window(n, p_one, policy.tail_tol)
     if p_one <= 0.0 or p_one >= 1.0:
-        k = hi
-        v0, e0 = f_zero(n - k)
-        v1, e1 = f_one(k)
-        value = v0 * v1
-        bound = e0 + e1 + e0 * e1 + 4.0 * EPS
-        terms = 1
+        window = [(hi, 1.0)]
+        slack = 4.0 * EPS
     else:
-        mode = min(hi, max(lo, int((n + 1) * p_one)))
-        log_pmf = (
-            math.lgamma(n + 1)
-            - math.lgamma(mode + 1)
-            - math.lgamma(n - mode + 1)
-            + mode * math.log(p_one)
-            + (n - mode) * math.log(q)
-        )
-        pmf_mode = math.exp(log_pmf)
-        ratio_up = p_one / q
-        value = 0.0
-        bound = 0.0
-        terms = 0
-        for direction in (-1, +1):
-            pmf = pmf_mode
-            k = mode
-            if direction == +1:
-                if mode == hi:
-                    continue
-                pmf = pmf * ratio_up * (n - mode) / (mode + 1)
-                k = mode + 1
-            while lo <= k <= hi:
-                v0, e0 = f_zero(n - k)
-                v1, e1 = f_one(k)
-                value += pmf * (v0 * v1)
-                bound += pmf * (e0 + e1 + e0 * e1)
-                terms += 1
-                if direction == -1:
-                    if k == lo:
-                        break
-                    pmf = pmf * k / ((n - k + 1) * ratio_up)
-                    k -= 1
-                else:
-                    if k == hi:
-                        break
-                    pmf = pmf * ratio_up * (n - k) / (k + 1)
-                    k += 1
-        bound += policy.tail_tol + 8.0 * EPS * terms
+        window = ref_pmf_window(n, p_one, lo, hi)
+        slack = policy.tail_tol + 8.0 * EPS * len(window)
+    lanes = [(t_zero, n - k, pmf) for k, pmf in window]
+    lanes += [(t_one(k), k, pmf) for k, pmf in window]
+    factors = ref_factors(lanes, policy, upgrade_all)
+    value = 0.0
+    bound = 0.0
+    for (k, pmf), (v0, e0), (v1, e1) in zip(
+        window, factors, factors[len(window):]
+    ):
+        value += pmf * (v0 * v1)
+        bound += pmf * (e0 + e1 + e0 * e1)
+    bound += slack
     value = min(1.0, max(0.0, value))
-    return (value, bound, "asymptotic", policy.method, terms)
+    return (value, bound, "asymptotic", policy.method, len(window))
 
 
-def ref_threshold(beta, n, delta, policy):
+def ref_threshold(beta, n, delta, policy, upgrade_all=False):
     """The mixture part (``n > exact_max_n``, ``0 < delta < n``)."""
     beta_f = float(beta)
     delta_f = max(float(delta), math.ulp(0.0))
     if beta_f <= 0.0 or beta_f >= 1.0:
-        value, bound = ref_ih_factor(delta_f, n, policy)
+        ((value, bound),) = ref_factors(
+            [(delta_f, n, 1.0)], policy, upgrade_all
+        )
         return (value, bound, "asymptotic", policy.method, 0)
     inv_beta = 1.0 / beta_f
     inv_rest = 1.0 / (1.0 - beta_f)
+    return ref_mixture(
+        n,
+        1.0 - beta_f,
+        delta_f * inv_beta,
+        lambda k: (delta_f - k * beta_f) * inv_rest,
+        policy,
+        upgrade_all,
+    )
 
-    def f_zero(m):
-        return ref_ih_factor(delta_f * inv_beta, m, policy)
 
-    def f_one(k):
-        return ref_ih_factor((delta_f - k * beta_f) * inv_rest, k, policy)
-
-    return ref_mixture(n, 1.0 - beta_f, f_zero, f_one, policy)
-
-
-def ref_oblivious(alpha, n, delta, policy):
+def ref_oblivious(alpha, n, delta, policy, upgrade_all=False):
     delta_f = max(float(delta), math.ulp(0.0))
-
-    def factor(m):
-        return ref_ih_factor(delta_f, m, policy)
-
-    return ref_mixture(n, 1.0 - float(alpha), factor, factor, policy)
+    return ref_mixture(
+        n, 1.0 - float(alpha), delta_f, lambda k: delta_f, policy,
+        upgrade_all,
+    )
 
 
 FAMILIES = {
@@ -337,6 +363,73 @@ class TestBitIdentity:
 
 
 # ---------------------------------------------------------------------------
+# the share rule: exact lanes only where they change the bound
+# ---------------------------------------------------------------------------
+
+
+def exact_dispatches(family, x, n, delta, policy=DEFAULT_POLICY):
+    with use_instrumentation() as instr:
+        FAMILIES[family][0](x, n, delta, policy)
+        counters = instr.metrics.snapshot().counters
+    return counters.get("asymptotics.dispatch.exact", 0)
+
+
+class TestShareRule:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_lane_eligible_is_all_exact(self, seed):
+        # n <= exact_ceiling: no lane is fixed, so every one is upgraded.
+        rng = random.Random(200 + seed)
+        for family in FAMILIES:
+            for _ in range(3):
+                n = rng.randint(21, DEFAULT_POLICY.exact_ceiling)
+                x = Fraction(rng.randint(1, 999), 1000)
+                delta = Fraction(rng.randint(1, 6 * n), 6)
+                policy = rng.choice(
+                    (DEFAULT_POLICY, SCAN_POLICY, NORMAL_POLICY)
+                )
+                want = FAMILIES[family][1](
+                    x, n, delta, policy, upgrade_all=True
+                )
+                assert array_answer(family, x, n, delta, policy) == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kept_lanes_stay_inside_the_all_exact_enclosure(self, seed):
+        # Windows centred near the exact ceiling in one bin, with a
+        # capacity that puts those lanes inside the support.
+        rng = random.Random(300 + seed)
+        changed = 0
+        for family in sorted(FAMILIES):
+            for _ in range(8):
+                n = rng.randint(161, 3000)
+                center = rng.randint(100, min(220, n - 1))
+                x = Fraction(rng.choice((center, n - center)), n)
+                delta = Fraction(rng.randint(1, 9 * center), 6)
+                policy = rng.choice(
+                    (DEFAULT_POLICY, SCAN_POLICY, NORMAL_POLICY)
+                )
+                got = array_answer(family, x, n, delta, policy)
+                want = FAMILIES[family][1](
+                    x, n, delta, policy, upgrade_all=True
+                )
+                assert abs(got[0] - want[0]) <= got[1]
+                assert got[1] <= want[1] * (1.0 + 4.0 * EPS)
+                changed += got[:2] != want[:2]
+        # Some lane was kept asymptotic, so the check above has teeth.
+        assert changed > 0
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_perfbench_style_point_at_n_458_runs_no_exact_lane(self, family):
+        # The library sweep's point at delta = n/3: the eligible lanes
+        # (orders 153-160) sit in a far tail, where their share is below
+        # EPS * fixed; every lane of order <= 160 used to run exact.
+        # Where the fixed bound is small (beta near 0.7, bound ~ 1e-5)
+        # a lane can still be worth upgrading.
+        n = 458
+        x = Fraction(611803, 1000000)
+        assert exact_dispatches(family, x, n, Fraction(n, 3)) == 0
+
+
+# ---------------------------------------------------------------------------
 # what the mixture persists
 # ---------------------------------------------------------------------------
 
@@ -434,7 +527,9 @@ class TestFloatEdges:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
-                values, bounds = _ih_factors(t, m, DEFAULT_POLICY)
+                values, bounds = _ih_factors(
+                    t, m, np.ones(t.shape), DEFAULT_POLICY
+                )
         assert values[:8].tolist() == [1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
         assert bounds[:8].tolist() == [0.0] * 8
         assert not np.isnan(values).any() and not np.isnan(bounds).any()

@@ -1,10 +1,14 @@
 """Tests for repro.symbolic.rational."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.symbolic.rational import (
+    alternating_power_sum,
+    alternating_power_sums,
     as_fraction,
     binomial,
     factorial,
@@ -165,3 +169,74 @@ class TestRationalRange:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             rational_range(0, 1, 1)
+
+
+def _orders(rng, lo, hi):
+    """Ascending orders in ``[lo, hi]``: a consecutive run or a gapped set."""
+    if rng.random() < 0.5:
+        start = rng.randint(lo, hi)
+        return list(range(start, rng.randint(start, hi) + 1))
+    return sorted(set(rng.randint(lo, hi) for _ in range(rng.randint(1, 8))))
+
+
+class TestAlternatingPowerSums:
+    """The column form equals the one-order sum at every order."""
+
+    @staticmethod
+    def _check(top, step, orders):
+        assert alternating_power_sums(top, step, orders) == [
+            alternating_power_sum(top, step, m, m) for m in orders
+        ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_float_points(self, seed):
+        # A float t is top / 2**e; the orders reach past t, as the
+        # mixture's columns do, and stay below it.
+        rng = random.Random(seed)
+        for _ in range(20):
+            t = rng.uniform(0.0, 120.0)
+            top, step = t.as_integer_ratio()
+            self._check(top, step, _orders(rng, 0, 160))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_rational_points(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(40):
+            step = rng.randint(1, 10**6)
+            top = rng.randint(-step, 60 * step)
+            self._check(top, step, _orders(rng, 0, 70))
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 40])
+    def test_integer_points(self, t):
+        # i*step == top is excluded: the strict cut-off on the knot.
+        for step in (1, 3, 2**40):
+            self._check(t * step, step, list(range(0, 60)))
+            self._check(t * step, step, [t - 1, t, t + 1, 2 * t, 3 * t + 5])
+
+    def test_points_below_one(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            step = rng.randint(2, 10**9)
+            top = rng.randint(1, step - 1)
+            self._check(top, step, _orders(rng, 0, 90))
+
+    def test_orders_at_or_below_t(self):
+        # m <= t: every i <= m has a positive base, the full difference.
+        for m in range(0, 12):
+            assert alternating_power_sums(50, 1, [m]) == [
+                alternating_power_sum(50, 1, m, m)
+            ]
+        self._check(50, 1, list(range(0, 80)))
+
+    def test_degenerate_points(self):
+        for top in (-5, 0):
+            assert alternating_power_sums(top, 3, [0, 1, 4]) == [0, 0, 0]
+        self._check(5, 0, [0, 1, 2, 6])
+        assert alternating_power_sums(5, 1, []) == []
+
+    def test_repeated_order(self):
+        self._check(17, 4, [3, 3, 5, 5])
+
+    def test_descending_orders_are_rejected(self):
+        with pytest.raises(ValidationError):
+            alternating_power_sums(5, 1, [4, 3])
