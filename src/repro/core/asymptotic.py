@@ -112,31 +112,17 @@ def _ih_factors(
 
     Lanes outside the open support (``t <= 0``, ``t >= m``, ``m = 0``)
     are exact 0 or 1 and are never evaluated, so an infinite ``t``
-    reaches no arithmetic.  Every other lane is answered by the
-    asymptotic tier in one array pass.  Lanes of order at most
-    ``policy.exact_ceiling`` are then eligible for the exact tier, by
-    their share ``weight * bound`` of the caller's bound: the longest
-    run of the smallest eligible shares whose sum stays below ``EPS``
-    times the summed share of the ineligible lanes keeps its
-    asymptotic answer, and every other eligible lane is upgraded.  So
-    when every lane is eligible, every one is upgraded; otherwise the
-    weighted bound grows by at most one part in ``2^52``.
-
-    Upgraded lanes are evaluated once per distinct ``(t, m)``, one
-    exact column per distinct ``t``
-    (:func:`~repro.probability.regimes.irwin_hall_exact_column`), which
-    caches nothing: the points are one-off floats (``2^52``
-    denominators) that no later query asks for again.  The orders *m*
-    are floats, exact up to ``2**53``; only the single count of a
-    degenerate window can exceed that, and its factor is asymptotic,
-    which reads a float order anyway.
+    reaches no arithmetic.  The others are answered asymptotically in
+    one array pass, then upgraded to exact by the share rule of the
+    module docstring, a lane's share being ``weight * bound``.  The
+    orders *m* are floats, exact up to ``2**53``; only the single count
+    of a degenerate window can exceed that, and its factor is
+    asymptotic, which reads a float order anyway.
     """
     # Outside the support: 1 where t >= m (the empty sum included).
     value = np.where(t >= m, 1.0, 0.0)
     bound = np.zeros(m.shape)
     inside = (t > 0.0) & (t < m)
-    if not inside.any():
-        return value, bound
     value[inside], bound[inside] = irwin_hall_asymptotic_lanes(
         t[inside], m[inside], policy.method
     )
