@@ -31,12 +31,10 @@ from repro.validation.contracts import check_probability
 from repro.symbolic.piecewise import Piece, PiecewisePolynomial
 from repro.symbolic.polynomial import Polynomial
 from repro.symbolic.rational import RationalLike, as_fraction
-from repro.symbolic.roots import real_roots
 
 __all__ = [
     "ThresholdOptimum",
     "optimal_symmetric_threshold",
-    "optimal_symmetric_threshold_batched",
 ]
 
 
@@ -108,119 +106,6 @@ def optimal_symmetric_threshold(
         beta=beta,
         probability=probability,
         piece=piece,
-        curve=curve,
-    )
-
-
-def optimal_symmetric_threshold_batched(
-    n: int,
-    delta: RationalLike,
-    tolerance: RationalLike = Fraction(1, 10**12),
-    samples_per_piece: int = 64,
-) -> ThresholdOptimum:
-    """Exact optimum via a sound batched prescreen.
-
-    The same answer as :func:`optimal_symmetric_threshold` -- the
-    test-suite asserts equality -- reached faster for curves with many
-    pieces: a vectorised sweep (:mod:`repro.batch`) samples every piece
-    on a float grid, a per-piece Lipschitz bound turns the samples into
-    a rigorous upper bound on the piece's true maximum, and only the
-    pieces whose upper bound reaches the best certified sample are
-    searched exactly (Sturm root isolation on the derivative).
-
-    The pruning is *sound*, never heuristic: a piece's bound uses the
-    exact coefficients (derivative magnitude ``sum i |c_i| M^(i-1)``
-    on its interval), adds the sampling gap and the per-point float
-    evaluation bound, and an infinite evaluation bound (a point near a
-    non-representable breakpoint) simply keeps the piece.  Any tie for
-    the maximum therefore survives pruning, so the tie-break toward
-    the smallest argmax matches the exact optimiser's.
-    """
-    import numpy as np
-
-    from repro.batch.tables import compiled_threshold_curve
-
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    d = as_fraction(delta)
-    if d <= 0:
-        raise ValidationError(f"delta must be positive, got {d}")
-    instr = get_instrumentation()
-    with instr.span(
-        "optimize.symmetric_threshold_batched", n=n, delta=str(d)
-    ), instr.metrics.timer("optimize.threshold_batched_seconds"):
-        compiled = compiled_threshold_curve(n, d)
-        curve = compiled.exact
-        pieces = curve.pieces
-        count = max(samples_per_piece, 2)
-        grids = [
-            np.linspace(float(p.lower), float(p.upper), count)
-            for p in pieces
-        ]
-        values, bounds = compiled.evaluate_with_bound(
-            np.concatenate(grids)
-        )
-        finite = np.isfinite(bounds)
-        # Certified floor: some sampled point provably reaches this.
-        floor = (
-            float(np.max(values[finite] - bounds[finite]))
-            if bool(finite.any())
-            else -np.inf
-        )
-        survivors = []
-        for index, piece in enumerate(pieces):
-            sample_values = values[index * count : (index + 1) * count]
-            sample_bounds = bounds[index * count : (index + 1) * count]
-            # Exact derivative-magnitude (Lipschitz) bound on the piece.
-            scale = max(abs(piece.lower), abs(piece.upper))
-            lipschitz = Fraction(0)
-            for degree, coeff in enumerate(piece.polynomial.coefficients):
-                if degree:
-                    lipschitz += degree * abs(coeff) * scale ** (degree - 1)
-            gap = float(piece.width()) / (2 * (count - 1))
-            slack = (
-                float(np.max(sample_bounds))
-                if bool(np.isfinite(sample_bounds).all())
-                else np.inf
-            )
-            ceiling = (
-                float(np.max(sample_values))
-                + float(lipschitz) * gap * (1.0 + 1e-9)
-                + slack
-                + 1e-12
-            )
-            if ceiling >= floor:
-                survivors.append(piece)
-        instr.increment("batch.pieces_pruned", len(pieces) - len(survivors))
-        instr.increment("batch.pieces_searched", len(survivors))
-        # Exact search over the surviving pieces only -- the same
-        # candidates maximize() would visit there, in ascending order
-        # so ties break toward the smallest argmax.
-        tol = as_fraction(tolerance)
-        candidates = set()
-        for piece in survivors:
-            candidates.add(piece.lower)
-            candidates.add(piece.upper)
-            deriv = piece.polynomial.derivative()
-            if deriv.is_zero() or deriv.is_constant():
-                continue
-            for root in real_roots(deriv, piece.lower, piece.upper, tol):
-                if piece.lower <= root <= piece.upper:
-                    candidates.add(root)
-        best_x = None
-        best_v = None
-        for x in sorted(candidates):
-            v = curve(x)
-            if best_v is None or v > best_v:
-                best_x, best_v = x, v
-        assert best_x is not None and best_v is not None
-    check_probability("optimal_symmetric_threshold_batched", best_v)
-    return ThresholdOptimum(
-        n=n,
-        delta=d,
-        beta=best_x,
-        probability=best_v,
-        piece=curve.piece_at(best_x),
         curve=curve,
     )
 

@@ -24,10 +24,9 @@ order of cost:
 
 The same ladder shapes ``/v1/optimal-strategy``:
 :func:`certified_grid_optimum` is the degraded tier -- a dense float
-grid over the compiled curve plus the per-piece Lipschitz ceiling of
-:func:`~repro.optimize.threshold_opt.optimal_symmetric_threshold_batched`,
-which brackets the true optimum ``P*`` in ``[floor, ceiling]`` with
-sound (never heuristic) arithmetic.
+grid over the compiled curve plus a per-piece Lipschitz ceiling, which
+brackets the true optimum ``P*`` in ``[floor, ceiling]`` with sound
+(never heuristic) arithmetic.
 """
 
 from __future__ import annotations
@@ -118,14 +117,12 @@ def certified_grid_optimum(
 ) -> GridOptimum:
     """Bracket a compiled curve's maximum on a float grid, soundly.
 
-    The same bound construction as the batched optimiser's pruning
-    pass (:func:`optimal_symmetric_threshold_batched`): per piece, the
-    exact derivative-magnitude (Lipschitz) bound ``sum i |c_i|
-    M^(i-1)`` caps how far the true maximum can rise above the best
-    sample, and the per-point float evaluation bounds cap what the
-    samples themselves can lie about.  Unlike the optimiser this never
-    opens the exact tier -- it is the degraded answer, built entirely
-    from work already done in float.
+    Per piece, the exact derivative-magnitude (Lipschitz) bound
+    ``sum i |c_i| M^(i-1)`` caps how far the true maximum can rise
+    above the best sample, and the per-point float evaluation bounds
+    cap what the samples themselves can lie about.  This never opens
+    the exact tier -- it is the degraded answer, built entirely from
+    work already done in float.
     """
     import numpy as np
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
+from repro.symbolic.intpoly import integer_row, remainder_sequence
 from repro.symbolic.rational import RationalLike, as_fraction
 
 __all__ = ["Polynomial"]
@@ -283,30 +284,16 @@ class Polynomial:
         """
         if self.is_zero():
             return self
-        from math import gcd
-
-        denom_lcm = 1
-        for c in self._coeffs:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in self._coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if g == 0:
-            return self
-        ints = [v // g for v in ints]
+        ints = integer_row(self._coeffs)
         if ints[-1] < 0 and not keep_sign:
             ints = [-v for v in ints]
         return Polynomial(ints)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic polynomial greatest common divisor (Euclid)."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a / a.leading_coefficient
+        """Monic polynomial greatest common divisor (Euclid over the integers)."""
+        a, b = integer_row(self._coeffs), integer_row(other._coeffs)
+        g = remainder_sequence(a, b)[-1] if b else a
+        return Polynomial(Fraction(c, g[-1]) for c in g)
 
     def squarefree_part(self) -> "Polynomial":
         """The radical ``p / gcd(p, p')`` -- same roots, all simple."""

@@ -7,7 +7,10 @@ exactly with Sturm sequences and refines them by rational bisection to
 any requested precision, so the reproduced paper numbers (e.g.
 ``beta* = 1 - sqrt(1/7)``) carry no floating-point uncertainty.
 
-The algorithms are textbook:
+The chains are built from integer pseudo-remainders on primitive rows
+(:mod:`repro.symbolic.intpoly`), and each sign test is one homogeneous
+integer Horner sum; the bisection points are ``Fraction`` midpoints, so
+every interval and root is the rational a ``Fraction`` chain gives.
 
 * :func:`sturm_sequence` builds the canonical Sturm chain.
 * :func:`count_real_roots` counts distinct real roots on a half-open
@@ -22,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from repro.symbolic.intpoly import Row, integer_row, remainder_sequence, sign_at
 from repro.symbolic.polynomial import Polynomial
 from repro.symbolic.rational import RationalLike, as_fraction
 
@@ -36,37 +40,49 @@ __all__ = [
 ]
 
 
+def _sturm_rows(row: Row) -> List[Row]:
+    """The Sturm chain ``p, p', -rem(p, p'), ...`` of a primitive *row*."""
+    if not row:
+        raise ValueError("Sturm sequence of the zero polynomial is undefined")
+    slope = [i * c for i, c in enumerate(row)][1:]
+    return remainder_sequence(row, slope) if slope else [row]
+
+
+def _radical_chain(poly: Polynomial) -> List[Row]:
+    """The Sturm chain of the square-free part of *poly* (``[]`` for a
+    constant).  The chain of ``p`` ends in ``gcd(p, p')``, so it is
+    already the answer unless that gcd has a root."""
+    row = integer_row(poly.coefficients)
+    if len(row) <= 1:
+        return []
+    chain = _sturm_rows(row)
+    if len(chain[-1]) > 1:
+        chain = _sturm_rows(integer_row(poly.squarefree_part().coefficients))
+    return chain
+
+
 def sturm_sequence(poly: Polynomial) -> List[Polynomial]:
     """Return the Sturm chain ``p, p', -rem(p, p'), ...`` of *poly*.
 
     The chain ends when the remainder vanishes.  Each element is reduced
-    to its integer primitive part -- this does not change sign patterns
-    but keeps coefficient growth under control.
+    to its integer primitive part by a positive factor -- this does not
+    change sign patterns but keeps coefficient growth under control.
     """
-    if poly.is_zero():
-        raise ValueError("Sturm sequence of the zero polynomial is undefined")
-    chain = [poly.primitive_part(keep_sign=True)]
-    derivative = poly.derivative()
-    if derivative.is_zero():
-        return chain
-    chain.append(derivative.primitive_part(keep_sign=True))
-    while True:
-        remainder = chain[-2] % chain[-1]
-        if remainder.is_zero():
-            break
-        chain.append((-remainder).primitive_part(keep_sign=True))
-    return chain
+    return [Polynomial(row) for row in _sturm_rows(integer_row(poly.coefficients))]
+
+
+def _variations(chain: Sequence[Row], point: Fraction) -> Tuple[int, int]:
+    """``(sign changes of chain at point, sign of chain[0] there)``."""
+    signs = [sign_at(row, point) for row in chain]
+    nonzero = [s for s in signs if s]
+    changes = sum(a != b for a, b in zip(nonzero, nonzero[1:]))
+    return changes, signs[0] if signs else 0
 
 
 def sign_variations(chain: Sequence[Polynomial], point: RationalLike) -> int:
     """Number of sign changes of the chain evaluated at *point* (zeros skipped)."""
-    x = as_fraction(point)
-    signs = []
-    for p in chain:
-        v = p(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    rows = [integer_row(p.coefficients) for p in chain]
+    return _variations(rows, as_fraction(point))[0]
 
 
 def count_real_roots(
@@ -87,8 +103,11 @@ def count_real_roots(
     if lo == hi:
         return 0
     if chain is None:
-        chain = sturm_sequence(poly.squarefree_part())
-    return sign_variations(chain, lo) - sign_variations(chain, hi)
+        # A constant has no roots; the zero polynomial raises in _sturm_rows.
+        rows = _radical_chain(poly) or _sturm_rows(integer_row(poly.coefficients))
+    else:
+        rows = [integer_row(p.coefficients) for p in chain]
+    return _variations(rows, lo)[0] - _variations(rows, hi)[0]
 
 
 def cauchy_root_bound(poly: Polynomial) -> Fraction:
@@ -114,48 +133,49 @@ def isolate_real_roots(
     (callers that care evaluate the endpoint themselves; the paper's use
     always does, via piecewise interval endpoints).
     """
-    return _isolate_radical(poly.squarefree_part(), lower, upper)
+    return _isolate(_radical_chain(poly), lower, upper)
 
 
-def _isolate_radical(
-    square_free: Polynomial,
+def _isolate(
+    chain: List[Row],
     lower: Optional[RationalLike],
     upper: Optional[RationalLike],
 ) -> List[Tuple[Fraction, Fraction]]:
-    """:func:`isolate_real_roots` of an already squarefree polynomial."""
-    if square_free.is_constant():
+    """:func:`isolate_real_roots` given the Sturm chain of a square-free
+    polynomial (``chain[0]``)."""
+    if not chain:
         return []
-    chain = sturm_sequence(square_free)
-    bound = cauchy_root_bound(square_free)
+    if lower is None or upper is None:
+        bound = cauchy_root_bound(Polynomial(chain[0]))
     lo = as_fraction(lower) if lower is not None else -bound
     hi = as_fraction(upper) if upper is not None else bound
 
     intervals: List[Tuple[Fraction, Fraction]] = []
 
-    def recurse(a: Fraction, b: Fraction) -> None:
-        n = sign_variations(chain, a) - sign_variations(chain, b)
+    def recurse(a: Fraction, va: int, b: Fraction, vb: int) -> None:
+        n = va - vb
         if n == 0:
             return
         if n == 1:
             intervals.append((a, b))
             return
         mid = (a + b) / 2
-        if square_free(mid) == 0:
-            intervals_here = [(mid, mid)]
-            recurse(a, mid)
+        vm, at_mid = _variations(chain, mid)
+        if at_mid == 0:
+            recurse(a, va, mid, vm)
             # The recursion into (a, mid] re-finds the root at mid as a
             # degenerate-or-regular interval ending at mid; drop it and
             # keep the explicit exact hit instead.
             while intervals and intervals[-1][1] == mid and intervals[-1][0] != mid:
                 intervals.pop()
-            intervals.extend(intervals_here)
-            recurse(mid, b)
+            intervals.append((mid, mid))
+            recurse(mid, vm, b, vb)
         else:
-            recurse(a, mid)
-            recurse(mid, b)
+            recurse(a, va, mid, vm)
+            recurse(mid, vm, b, vb)
 
     if lo < hi:
-        recurse(lo, hi)
+        recurse(lo, _variations(chain, lo)[0], hi, _variations(chain, hi)[0])
     intervals.sort()
     return intervals
 
@@ -172,44 +192,47 @@ def refine_root(
     left endpoint by a point just inside when ``poly(lower) == 0`` would
     be ambiguous).  Returns the interval midpoint as a ``Fraction``.
     """
-    a = as_fraction(lower)
-    b = as_fraction(upper)
-    tol = as_fraction(tolerance)
+    bounds = (as_fraction(lower), as_fraction(upper), as_fraction(tolerance))
+    return _refine(integer_row(poly.coefficients), *bounds)
+
+
+def _refine(row: Row, a: Fraction, b: Fraction, tol: Fraction) -> Fraction:
+    """:func:`refine_root` on an integer row."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    fb = poly(b)
-    if fb == 0:
+    sb = sign_at(row, b)
+    if sb == 0:
         return b
     if a == b:
         return a
-    fa = poly(a)
-    if fa == 0:
+    sa = sign_at(row, a)
+    if sa == 0:
         # Root at the open endpoint belongs to a neighbouring interval;
         # nudge inward so the bisection below sees a strict sign change.
         step = (b - a) / 2
         while True:
             probe = a + step
-            fp = poly(probe)
-            if fp == 0:
+            sp = sign_at(row, probe)
+            if sp == 0:
                 return probe
-            if (fp > 0) != (fb > 0):
-                a, fa = probe, fp
+            if sp != sb:
+                a, sa = probe, sp
                 break
             step /= 2
             if step < tol:
                 return b
-    if (fa > 0) == (fb > 0):
+    if sa == sb:
         raise ValueError(
-            f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}; "
+            f"no sign change on [{a}, {b}]: f(a) and f(b) have sign {sa}; "
             "interval does not bracket a simple root"
         )
     while b - a > tol:
         mid = (a + b) / 2
-        fm = poly(mid)
-        if fm == 0:
+        sm = sign_at(row, mid)
+        if sm == 0:
             return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
+        if sm == sa:
+            a = mid
         else:
             b = mid
     return (a + b) / 2
@@ -227,11 +250,9 @@ def real_roots(
     *tolerance* of the true algebraic root (exact when the root is
     rational and hit by bisection).
     """
-    square_free = poly.squarefree_part()
-    roots = []
-    for a, b in _isolate_radical(square_free, lower, upper):
-        if a == b:
-            roots.append(a)
-        else:
-            roots.append(refine_root(square_free, a, b, tolerance))
-    return roots
+    chain = _radical_chain(poly)
+    tol = as_fraction(tolerance)
+    return [
+        a if a == b else _refine(chain[0], a, b, tol)
+        for a, b in _isolate(chain, lower, upper)
+    ]

@@ -26,10 +26,6 @@ from repro.cache import (
 )
 from repro.errors import PiecewiseDomainError
 from repro.observability import use_instrumentation
-from repro.optimize.threshold_opt import (
-    optimal_symmetric_threshold,
-    optimal_symmetric_threshold_batched,
-)
 from repro.probability.uniform_sums import irwin_hall_cdf
 from repro.simulation.runner import sweep_thresholds
 from repro.symbolic.piecewise import PiecewisePolynomial
@@ -249,25 +245,6 @@ class TestAgreementRunner:
     def test_empty_case_list_does_not_pass(self):
         report = run_batch_agreement([], [], grid_size=16)
         assert not report.passed
-
-
-class TestBatchedOptimizer:
-    @pytest.mark.parametrize(
-        "n,delta",
-        [
-            (2, Fraction(1)),
-            (3, Fraction(1)),
-            (4, Fraction(1)),
-            (3, Fraction(1, 2)),
-            (5, Fraction(4, 3)),
-        ],
-    )
-    def test_equals_exact_optimum(self, n, delta):
-        exact = optimal_symmetric_threshold(n, delta)
-        batched = optimal_symmetric_threshold_batched(n, delta)
-        assert batched.beta == exact.beta
-        assert batched.probability == exact.probability
-        assert batched.piece == exact.piece
 
 
 class TestBatchedSweep:
